@@ -214,8 +214,18 @@ def load_manifest(path):
         header = next(reader, None)
         if header != MANIFEST_COLUMNS:
             raise DataError(f"{path}: bad manifest header {header}")
-        entries = [ManifestEntry(r[0], r[1], r[2], int(r[3]), r[4])
-                   for r in reader]
+        entries = []
+        for r in reader:
+            if len(r) != len(MANIFEST_COLUMNS):
+                raise DataError(f"{path}, line {reader.line_num}: {len(r)} "
+                                f"fields, expected {len(MANIFEST_COLUMNS)} "
+                                f"({','.join(MANIFEST_COLUMNS)})")
+            try:
+                class_id = int(r[3])
+            except ValueError:
+                raise DataError(f"{path}, line {reader.line_num}: class_id "
+                                f"{r[3]!r} is not an integer") from None
+            entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
     return DatasetManifest(entries)
 
 

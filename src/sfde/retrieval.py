@@ -54,7 +54,18 @@ class EmbeddingRecord:
 
 @dataclass
 class RetrievalReport:
-    rankings: dict            # query id -> list of (gallery id, score)
+    """Metrics plus the full ranking of every query, as arrays.
+
+    The ranking is exact: one float64 score matrix `Q @ G.T`, each row in
+    descending score order with ties broken by ascending gallery id, so
+    it holds O(Q x G) memory. Row i of `order` holds indices into
+    `gallery_ids`, best first, for query `query_ids[i]`; row i of `scores`
+    holds the matching scores.
+    """
+    query_ids: list
+    gallery_ids: list
+    order: np.ndarray         # (Q, G) gallery indices in rank order
+    scores: np.ndarray        # (Q, G) float64 scores in rank order
     recall_at: dict           # K -> fraction
     mean_ap: float
     skipped_queries: int = 0  # queries with no relevant gallery item
@@ -101,14 +112,29 @@ def _gem_np(feature_map, p):
 
 def cosine_topk(query, gallery, k):
     """Top-k gallery records by dot product (all vectors unit-norm).
-    Ties break by ascending id, so rankings are reproducible."""
+
+    Exact brute-force search: the scores are one float64 matrix product
+    `Q @ G.T`, in which every product of float32 values is exact, and each
+    row is ordered by descending score, ties by ascending id, so rankings
+    are reproducible. It holds O(Q x G) memory. A 1-D `query` gives a list
+    of (record, score); an (Nq, D) block gives `(order, scores)`, two
+    (Nq, k) arrays of gallery indices and their scores.
+    """
     if not gallery:
         raise ValueError("empty gallery")
     if k > len(gallery):
         raise ValueError(f"K={k} exceeds gallery size {len(gallery)}")
-    scores = np.array([float(np.dot(query, r.vector)) for r in gallery])
-    order = sorted(range(len(gallery)), key=lambda i: (-scores[i], gallery[i].id))
-    return [(gallery[i], scores[i]) for i in order[:k]]
+    by_id = np.array(sorted(range(len(gallery)), key=lambda i: gallery[i].id),
+                     dtype=np.intp)
+    vectors = np.array([gallery[i].vector for i in by_id], dtype=np.float64)
+    block = np.asarray(query, dtype=np.float64)
+    scores = np.atleast_2d(block) @ vectors.T
+    # a stable sort over id-ordered columns breaks score ties by id
+    ranks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    order, scores = by_id[ranks], np.take_along_axis(scores, ranks, axis=1)
+    if block.ndim == 2:
+        return order, scores
+    return [(gallery[i], s) for i, s in zip(order[0].tolist(), scores[0].tolist())]
 
 
 def recall_at_k(ranked_ids, relevant, k):
@@ -120,53 +146,55 @@ def average_precision(ranked_ids, relevant):
     """Mean of precision-at-rank over the relevant items' ranks."""
     if not relevant:
         raise ValueError("average_precision needs a non-empty relevant set")
-    hits = 0
-    precisions = []
-    for rank, rid in enumerate(ranked_ids, start=1):
-        if rid in relevant:
-            hits += 1
-            precisions.append(hits / rank)
-    if not precisions:
+    return _ap_at(np.flatnonzero([rid in relevant for rid in ranked_ids]))
+
+
+def _ap_at(positions):
+    """Average precision from the 0-based ranks of the relevant items."""
+    if not len(positions):
         return 0.0
-    return float(np.mean(precisions))
+    return float(np.mean(np.arange(1, len(positions) + 1) / (positions + 1)))
 
 
 def evaluate(queries, gallery, k_values):
     """Rank the full gallery for every query; relevance = class_id equality.
     Queries without any relevant gallery item are excluded from the means
-    and counted in `skipped_queries`."""
+    and counted in `skipped_queries`. Ids must be unique within the query
+    list and within the gallery."""
     k_values = sorted(k_values)
     if not gallery:
         raise ValueError("empty gallery")
     if max(k_values) > len(gallery):
         raise ValueError(f"K={max(k_values)} exceeds gallery size {len(gallery)}; "
                          "pass a smaller --k list")
-    gallery_classes = {}
-    for r in gallery:
-        gallery_classes.setdefault(r.class_id, set()).add(r.id)
+    query_ids = [q.id for q in queries]
+    gallery_ids = [r.id for r in gallery]
+    for what, ids in (("query", query_ids), ("gallery", gallery_ids)):
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise ValueError(f"duplicate {what} id {i!r}")
+            seen.add(i)
 
-    rankings = {}
-    recalls = {k: [] for k in k_values}
-    aps = []
-    skipped = 0
-    for q in queries:
-        relevant = gallery_classes.get(q.class_id, set())
-        ranked = cosine_topk(q.vector, gallery, len(gallery))
-        rankings[q.id] = [(r.id, s) for r, s in ranked]
-        if not relevant:
-            skipped += 1
-            continue
-        ids = [r.id for r, _ in ranked]
-        for k in k_values:
-            recalls[k].append(recall_at_k(ids, relevant, k))
-        aps.append(average_precision(ids, relevant))
+    block = np.array([q.vector for q in queries], dtype=np.float64)
+    block = block.reshape(len(queries), len(gallery[0].vector))
+    order, scores = cosine_topk(block, gallery, len(gallery))
+    qcls = np.array([q.class_id for q in queries], dtype=np.int64)
+    gcls = np.array([r.class_id for r in gallery], dtype=np.int64)
+    rel = gcls[order] == qcls[:, None]
+    rel = rel[rel.any(axis=1)]
+    aps = [_ap_at(np.flatnonzero(row)) for row in rel]
 
     n = len(aps)
     return RetrievalReport(
-        rankings=rankings,
-        recall_at={k: (float(np.mean(v)) if v else 0.0) for k, v in recalls.items()},
+        query_ids=query_ids,
+        gallery_ids=gallery_ids,
+        order=order,
+        scores=scores,
+        recall_at={k: (float(np.mean(rel[:, :k].any(axis=1))) if n else 0.0)
+                   for k in k_values},
         mean_ap=float(np.mean(aps)) if n else 0.0,
-        skipped_queries=skipped,
+        skipped_queries=len(queries) - n,
     )
 
 
@@ -185,6 +213,14 @@ def save_embeddings(records, path):
         if dim and vec.shape != (dim,):
             raise StoreError(f"record {r.id!r} has dim {vec.shape}, expected {dim}")
         rid = r.id.encode()
+        if len(rid) > 0xFFFF:
+            raise StoreError(f"record id {r.id[:32]!r}... is {len(rid)} bytes; "
+                             "the store holds ids of at most 65535 bytes")
+        if r.view not in VIEW_CODES:
+            raise StoreError(f"record {r.id!r} has unknown view {r.view!r}")
+        if not 0 <= r.class_id <= 0xFFFFFFFF:
+            raise StoreError(f"record {r.id!r} has class_id {r.class_id}; "
+                             "the store holds class ids 0..4294967295")
         blob += struct.pack("<H", len(rid)) + rid
         blob += struct.pack("<BI", VIEW_CODES[r.view], r.class_id)
         blob += vec.tobytes()

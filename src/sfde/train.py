@@ -269,29 +269,32 @@ def embed_from_checkpoint(ckpt_path, entries, out_path):
 
 def write_reports(report, queries, gallery, out_dir, prefix="retrieval"):
     """Ranking CSV, summary CSV, and the positive/negative cosine-distance
-    histogram CSV."""
+    histogram CSV. Query blocks are written in ascending query-id order."""
     os.makedirs(out_dir, exist_ok=True)
     rank_path = os.path.join(out_dir, f"{prefix}_rankings.csv")
-    with open(rank_path, "w") as fh:
-        fh.write("query_id,rank,gallery_id,score\n")
-        for qid in sorted(report.rankings):
-            for rank, (gid, score) in enumerate(report.rankings[qid], start=1):
-                fh.write(f"{qid},{rank},{gid},{score:.8f}\n")
     summary_path = os.path.join(out_dir, f"{prefix}_summary.csv")
+    hist_path = os.path.join(out_dir, f"{prefix}_distances.csv")
+    qids, gids = report.query_ids, report.gallery_ids
+    qclass = {q.id: q.class_id for q in queries}
+    gclass = {g.id: g.class_id for g in gallery}
+    gcls = [gclass.get(g) for g in gids]
+    ranks = range(1, len(gids) + 1)
+    with open(rank_path, "w") as rank_fh, open(hist_path, "w") as hist_fh:
+        rank_fh.write("query_id,rank,gallery_id,score\n")
+        hist_fh.write("query_id,gallery_id,pair,cosine_distance\n")
+        for i in sorted(range(len(qids)), key=qids.__getitem__):
+            qid, qc = qids[i], qclass.get(qids[i])
+            row, scores = report.order[i].tolist(), report.scores[i].tolist()
+            ids = [gids[j] for j in row]
+            pairs = ["positive" if gcls[j] == qc else "negative" for j in row]
+            rank_fh.write("".join([f"{qid},{r},{g},{s:.8f}\n"
+                                   for r, g, s in zip(ranks, ids, scores)]))
+            hist_fh.write("".join([f"{qid},{g},{p},{1.0 - s:.8f}\n"
+                                   for g, p, s in zip(ids, pairs, scores)]))
     with open(summary_path, "w") as fh:
         fh.write("metric,K,value\n")
         for k in sorted(report.recall_at):
             fh.write(f"recall,{k},{report.recall_at[k]:.8f}\n")
         fh.write(f"mean_ap,,{report.mean_ap:.8f}\n")
         fh.write(f"skipped_queries,,{report.skipped_queries}\n")
-    hist_path = os.path.join(out_dir, f"{prefix}_distances.csv")
-    qclass = {q.id: q.class_id for q in queries}
-    gclass = {g.id: g.class_id for g in gallery}
-    with open(hist_path, "w") as fh:
-        fh.write("query_id,gallery_id,pair,cosine_distance\n")
-        for qid in sorted(report.rankings):
-            for gid, score in report.rankings[qid]:
-                pair = ("positive" if gclass.get(gid) == qclass.get(qid)
-                        else "negative")
-                fh.write(f"{qid},{gid},{pair},{1.0 - score:.8f}\n")
     return rank_path, summary_path, hist_path

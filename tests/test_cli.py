@@ -1,8 +1,13 @@
 """End-to-end command-line pipeline and exit-code contracts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sfde
 from sfde import cli, data, retrieval, selftest
 
 
@@ -114,6 +119,53 @@ def test_eval_dimension_mismatch_is_validation_error(pipeline, tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+def test_eval_duplicate_query_id_is_validation_error(pipeline, tmp_path,
+                                                    capsys):
+    queries = retrieval.load_embeddings(pipeline["query"])
+    queries[1].id = queries[0].id
+    dup = str(tmp_path / "dup.bin")
+    retrieval.save_embeddings(queries, dup)
+    out_dir = tmp_path / "r"
+    code = cli.main(["eval", "--query", dup, "--gallery", pipeline["gallery"],
+                     "--k", "1", "--out", str(out_dir)])
+    assert code == cli.EXIT_VALIDATION
+    assert f"duplicate query id {queries[0].id!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_eval_reports_do_not_depend_on_blas_threads(tmp_path):
+    """The score matrix is large enough for a threaded BLAS to split it."""
+    rng = np.random.default_rng(5)
+    stores = {}
+    for name, n, view in (("query", 200, "drone"), ("gallery", 300, "satellite")):
+        vecs = rng.normal(size=(n, 64))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        stores[name] = str(tmp_path / f"{name}.bin")
+        retrieval.save_embeddings(
+            [retrieval.EmbeddingRecord(f"{name[0]}{i}", view,
+                                       int(rng.integers(40)),
+                                       v.astype(np.float32))
+             for i, v in enumerate(vecs)], stores[name])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfde.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in os.environ.get("PYTHONPATH", "")
+                                .split(os.pathsep) if p]))
+        out_dir = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfde.cli", "eval", "--query",
+             stores["query"], "--gallery", stores["gallery"],
+             "--k", "1,5", "--out", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        reports.append({n: (out_dir / f"retrieval_{n}.csv").read_bytes()
+                        for n in ("rankings", "summary", "distances")})
+    assert reports[0] == reports[1]
+
+
 def test_corrupt_store_is_validation_error(pipeline, tmp_path):
     bad = str(tmp_path / "bad.bin")
     blob = bytearray(open(pipeline["query"], "rb").read())
@@ -155,3 +207,28 @@ def test_embed_empty_subset_is_validation_error(pipeline, tmp_path):
                      "--split", "nope", "--view", "both",
                      "--out", str(tmp_path / "e.bin")])
     assert code == cli.EXIT_VALIDATION
+
+
+def test_short_manifest_row_is_validation_error(pipeline, tmp_path, capsys):
+    lines = open(pipeline["manifest"]).read().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3])
+    bad = str(tmp_path / "short.csv")
+    open(bad, "w").write("\n".join(lines) + "\n")
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
+                     "--split", "train", "--view", "both",
+                     "--out", str(tmp_path / "e.bin")])
+    assert code == cli.EXIT_VALIDATION
+    assert f"{bad}, line 3: 3 fields" in capsys.readouterr().err
+
+
+def test_embed_negative_class_id_is_validation_error(pipeline, tmp_path):
+    manifest = data.load_manifest(pipeline["manifest"])
+    manifest.entries[0].class_id = -1
+    bad = str(tmp_path / "negative.csv")
+    data.save_manifest(manifest, bad)
+    out = tmp_path / "e.bin"
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
+                     "--split", manifest.entries[0].split,
+                     "--view", manifest.entries[0].view, "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert not out.exists()

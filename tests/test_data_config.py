@@ -106,6 +106,19 @@ def test_manifest_bad_header_rejected(tmp_path):
         data.load_manifest(path)
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("a,a.pgm,drone", "3 fields, expected 5"),
+    ("a,a.pgm,drone,x,train", "class_id 'x' is not an integer"),
+])
+def test_manifest_bad_row_names_file_and_line(tmp_path, row, problem):
+    path = str(tmp_path / "m.csv")
+    open(path, "w").write("id,path,view,class_id,split\n"
+                          "b,b.pgm,drone,0,train\n" + row + "\n")
+    with pytest.raises(data.DataError, match=f"line 3: {problem}") as err:
+        data.load_manifest(path)
+    assert path in str(err.value)
+
+
 def test_synthetic_generator_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

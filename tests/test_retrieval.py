@@ -1,9 +1,11 @@
 """Descriptor assembly, ranking, metric oracles, and the embedding store."""
 
+import os
+
 import numpy as np
 import pytest
 
-from sfde import retrieval
+from sfde import retrieval, train as training
 from sfde.retrieval import EmbeddingRecord
 
 
@@ -17,6 +19,22 @@ def random_records(rng, n, dim, prefix="g", classes=4):
                             "satellite" if i % 2 else "drone",
                             int(rng.integers(classes)),
                             unit(rng.normal(size=dim)))
+            for i in range(n)]
+
+
+def tied_records(rng, n, dim, prefix, classes=4):
+    """Records whose components are multiples of 1/64, so every dot product
+    is exact in float64 whatever the summation order. The last third repeat
+    earlier vectors under another class (cross-class ties), and the ids are
+    unpadded and shuffled, so id order is neither list nor numeric order."""
+    vecs = (np.round(rng.normal(size=(n, dim)) * 16) / 64).astype(np.float32)
+    cls = rng.integers(classes, size=n)
+    copies = n // 3
+    src = rng.integers(n - copies, size=copies)
+    vecs[n - copies:] = vecs[src]
+    cls[n - copies:] = (cls[src] + 1) % classes
+    names = rng.permutation(n)
+    return [EmbeddingRecord(f"{prefix}{names[i]}", "drone", int(cls[i]), vecs[i])
             for i in range(n)]
 
 
@@ -89,6 +107,19 @@ def test_topk_matches_sort_oracle(rng):
     ranked = [r.id for r, _ in retrieval.cosine_topk(q, gallery, 20)]
     oracle = sorted(gallery, key=lambda r: (-float(q @ r.vector), r.id))
     assert ranked == [r.id for r in oracle]
+
+
+def test_topk_block_matches_single_query_rows(rng):
+    gallery = tied_records(rng, 30, 5, "g")
+    queries = tied_records(rng, 8, 5, "q")
+    block = np.stack([q.vector for q in queries])
+    for k in (1, 7, 30):
+        order, scores = retrieval.cosine_topk(block, gallery, k)
+        assert order.shape == scores.shape == (8, k)
+        for q, row, row_scores in zip(queries, order, scores):
+            single = retrieval.cosine_topk(q.vector, gallery, k)
+            assert [gallery[j].id for j in row] == [r.id for r, _ in single]
+            assert row_scores.tolist() == [s for _, s in single]
 
 
 def test_topk_validation():
@@ -187,6 +218,56 @@ def test_evaluate_counts_skipped_queries(rng):
     assert report.recall_at[1] == 1.0
 
 
+def test_rankings_csv_matches_sorted_reference_with_ties(rng, tmp_path):
+    ties = 0
+    for trial in range(20):
+        dim = int(rng.integers(3, 7))
+        gallery = tied_records(rng, int(rng.integers(6, 25)), dim, "g")
+        queries = tied_records(rng, int(rng.integers(1, 7)), dim, "q", classes=5)
+        report = retrieval.evaluate(queries, gallery, [1])
+        rank_path, _, hist_path = training.write_reports(
+            report, queries, gallery, str(tmp_path / f"t{trial}"))
+        rank_lines = ["query_id,rank,gallery_id,score"]
+        hist_lines = ["query_id,gallery_id,pair,cosine_distance"]
+        for q in sorted(queries, key=lambda r: r.id):
+            q64 = q.vector.astype(np.float64)
+            scores = {g.id: float(q64 @ g.vector.astype(np.float64))
+                      for g in gallery}
+            ties += len(scores) - len(set(scores.values()))
+            ref = sorted(gallery, key=lambda r: (-scores[r.id], r.id))
+            for rank, g in enumerate(ref, start=1):
+                pair = "positive" if g.class_id == q.class_id else "negative"
+                rank_lines.append(f"{q.id},{rank},{g.id},{scores[g.id]:.8f}")
+                hist_lines.append(f"{q.id},{g.id},{pair},{1.0 - scores[g.id]:.8f}")
+        assert open(rank_path).read().splitlines() == rank_lines
+        assert open(hist_path).read().splitlines() == hist_lines
+    assert ties > 0
+
+
+def test_evaluate_empty_queries_gives_zero_metrics_and_header_only_csvs(
+        rng, tmp_path):
+    gallery = random_records(rng, 5, 4)
+    report = retrieval.evaluate([], gallery, [1, 5])
+    assert report.recall_at == {1: 0.0, 5: 0.0}
+    assert report.mean_ap == 0.0 and report.skipped_queries == 0
+    paths = training.write_reports(report, [], gallery, str(tmp_path))
+    assert [open(p).read() for p in paths] == [
+        "query_id,rank,gallery_id,score\n",
+        "metric,K,value\nrecall,1,0.00000000\nrecall,5,0.00000000\n"
+        "mean_ap,,0.00000000\nskipped_queries,,0\n",
+        "query_id,gallery_id,pair,cosine_distance\n"]
+
+
+@pytest.mark.parametrize("side", ["query", "gallery"])
+def test_evaluate_rejects_duplicate_ids(rng, side):
+    gallery = random_records(rng, 6, 4)
+    queries = random_records(rng, 4, 4, prefix="q")
+    records = queries if side == "query" else gallery
+    records[3].id = records[1].id
+    with pytest.raises(ValueError, match=f"duplicate {side} id '{records[1].id}'"):
+        retrieval.evaluate(queries, gallery, [1])
+
+
 # ---------------------------------------------------------------------------
 # embedding store
 # ---------------------------------------------------------------------------
@@ -243,6 +324,29 @@ def test_store_rejects_non_unit_vectors(tmp_path):
     retrieval.save_embeddings([rec], path)
     with pytest.raises(retrieval.StoreVectorError):
         retrieval.load_embeddings(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("class_id", -1), ("class_id", 2 ** 32), ("id", "\u00e9" * 32768),
+    ("view", "aerial")])
+def test_store_rejects_fields_out_of_range(tmp_path, field, value):
+    rec = EmbeddingRecord("a", "drone", 0, unit([1, 0]))
+    setattr(rec, field, value)
+    path = str(tmp_path / "store.bin")
+    with pytest.raises(retrieval.StoreError):
+        retrieval.save_embeddings([rec], path)
+    assert not os.path.exists(path)
+
+
+def test_store_keeps_fields_at_their_bounds(tmp_path):
+    records = [EmbeddingRecord("\u00e9" * 32767 + "x", "drone", 2 ** 32 - 1,
+                               unit([1, 0])),
+               EmbeddingRecord("b", "satellite", 0, unit([0, 1]))]
+    path = str(tmp_path / "store.bin")
+    retrieval.save_embeddings(records, path)
+    loaded = retrieval.load_embeddings(path)
+    assert [(r.id, r.view, r.class_id) for r in loaded] == \
+        [(r.id, r.view, r.class_id) for r in records]
 
 
 def test_store_error_codes_are_distinct():
