@@ -200,9 +200,13 @@ def load_checkpoint(path, rng=None):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", take(4))
     header = json.loads(take(hlen).decode())
-    cfg_d = dict(header["model_config"])
-    cfg_d["stage_channels"] = tuple(cfg_d["stage_channels"])
-    cfg = ModelConfig(**cfg_d)
+    try:
+        cfg_d = dict(header["model_config"])
+        cfg_d["stage_channels"] = tuple(cfg_d["stage_channels"])
+        cfg = ModelConfig(**cfg_d)
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed model_config in checkpoint "
+                              f"({type(e).__name__}: {e})") from e
     model = SFDEModel(cfg, rng or np.random.default_rng(0))
 
     (count,) = struct.unpack("<I", take(4))

@@ -268,11 +268,24 @@ def _conv_out_size(n, k, stride, padding, dilation):
     return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
+def _tap_product(a, b):
+    """`a @ b` over the channel axis; a broadcast multiply when that axis has
+    length 1 (depthwise convs), which gives the same bits as the matmul."""
+    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     """2-D cross-correlation. x: (C,H,W) or (N,C,H,W); w: (O, C/groups, K, K).
 
     With stride 1 and padding = dilation*(K-1)/2 (K odd) the spatial size is
     preserved.
+
+    One loop over the Kh*Kw taps computes forward, dW and dX. Tap (a, b)
+    reads the strided slice of the padded input that meets kernel element
+    (a, b) at every output position, and contracts it with the per-group
+    weights as one (G, Og, Cg) x (N, G, Cg, Ho*Wo) product; no patch tensor
+    is built. A 1x1 conv is one matmul and a depthwise conv a broadcast
+    multiply per tap.
     """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -290,14 +303,20 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                          f"stride={s}, padding={p}, dilation={d}")
 
     xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    ih = s * np.arange(Ho)[:, None] + d * np.arange(Kh)[None, :]
-    iw = s * np.arange(Wo)[:, None] + d * np.arange(Kw)[None, :]
     G, Og = groups, O // groups
     wg = w.data.reshape(G, Og, Cg, Kh, Kw)
+    taps = [(a_, b_, slice(a_ * d, a_ * d + s * (Ho - 1) + 1, s),
+             slice(b_ * d, b_ * d + s * (Wo - 1) + 1, s))
+            for a_ in range(Kh) for b_ in range(Kw)]
 
-    patches = xp[:, :, ih[:, :, None, None], iw[None, None, :, :]]
-    pg = patches.reshape(N, G, Cg, Ho, Kh, Wo, Kw)
-    out_d = np.einsum("ngchkwl,gockl->ngohw", pg, wg, optimize=True)
+    def x_tap(rows, cols):
+        return xp[:, :, rows, cols].reshape(N, G, Cg, Ho * Wo)
+
+    terms = (_tap_product(wg[..., a_, b_], x_tap(rows, cols))
+             for a_, b_, rows, cols in taps)
+    out_d = next(terms)
+    for term in terms:
+        out_d += term
     out_d = out_d.reshape(N, O, Ho, Wo)
     if b is not None:
         out_d = out_d + b.data[:, None, None]
@@ -305,20 +324,17 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
 
     def bwd(g):
         gd = g[None] if squeeze else g
-        gog = gd.reshape(N, G, Og, Ho, Wo)
-        patches_b = xp[:, :, ih[:, :, None, None], iw[None, None, :, :]]
-        pgb = patches_b.reshape(N, G, Cg, Ho, Kh, Wo, Kw)
-        gw = np.einsum("ngohw,ngchkwl->gockl", gog, pgb, optimize=True)
+        go = gd.reshape(N, G, Og, Ho * Wo)
+        wt = np.swapaxes(wg, 1, 2)
+        gw = np.empty(wg.shape, dtype=np.result_type(go, xp))
+        gxp = np.zeros_like(xp)
+        for a_, b_, rows, cols in taps:
+            gw[..., a_, b_] = np.matmul(
+                go, np.swapaxes(x_tap(rows, cols), -1, -2)).sum(axis=0)
+            gxp[:, :, rows, cols] += _tap_product(
+                wt[..., a_, b_], go).reshape(N, C, Ho, Wo)
         gw = gw.reshape(O, Cg, Kh, Kw)
         gb = gd.sum(axis=(0, 2, 3)) if b is not None else None
-        gxp = np.zeros_like(xp)
-        for a_ in range(Kh):
-            rows = slice(a_ * d, a_ * d + s * (Ho - 1) + 1, s)
-            for b_ in range(Kw):
-                cols = slice(b_ * d, b_ * d + s * (Wo - 1) + 1, s)
-                contrib = np.einsum("ngohw,goc->ngchw", gog,
-                                    wg[:, :, :, a_, b_], optimize=True)
-                gxp[:, :, rows, cols] += contrib.reshape(N, C, Ho, Wo)
         gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
         gx = gx[0] if squeeze else gx
         if b is not None:

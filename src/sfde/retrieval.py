@@ -44,6 +44,11 @@ class StoreVectorError(StoreError):
     code = "non-unit-vector"
 
 
+class StoreNonFiniteError(FloatingPointError):
+    """A NaN/Inf vector: a numeric failure (exit 2), not a format error."""
+    code = "non-finite-vector"
+
+
 @dataclass
 class EmbeddingRecord:
     id: str
@@ -212,6 +217,8 @@ def save_embeddings(records, path):
         vec = np.asarray(r.vector, dtype="<f4")
         if dim and vec.shape != (dim,):
             raise StoreError(f"record {r.id!r} has dim {vec.shape}, expected {dim}")
+        if not np.isfinite(vec).all():
+            raise StoreNonFiniteError(f"record {r.id!r} vector is not finite")
         rid = r.id.encode()
         if len(rid) > 0xFFFF:
             raise StoreError(f"record id {r.id[:32]!r}... is {len(rid)} bytes; "
@@ -258,6 +265,8 @@ def load_embeddings(path):
         if view_code not in CODE_VIEWS:
             raise StoreError(f"record {rid!r} has unknown view code {view_code}")
         vec = np.frombuffer(take(4 * dim, f"record {i} vector"), dtype="<f4")
+        if not np.isfinite(vec).all():
+            raise StoreNonFiniteError(f"record {rid!r} vector is not finite")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-4:
             raise StoreVectorError(

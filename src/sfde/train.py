@@ -151,6 +151,8 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
     problems = manifest.validate_pairing("train")
     if problems:
         raise ValueError("manifest validation failed: " + "; ".join(problems))
+    if not manifest.subset("train"):
+        raise ValueError("manifest has no train entries")
 
     classes = sorted({e.class_id for e in manifest.subset("train")})
     class_index = {cid: i for i, cid in enumerate(classes)}
@@ -267,6 +269,13 @@ def embed_from_checkpoint(ckpt_path, entries, out_path):
 # evaluation reports
 # ---------------------------------------------------------------------------
 
+def _csv_field(text):
+    """`text` as one CSV field, quoted RFC 4180 style only when it must be."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_reports(report, queries, gallery, out_dir, prefix="retrieval"):
     """Ranking CSV, summary CSV, and the positive/negative cosine-distance
     histogram CSV. Query blocks are written in ascending query-id order."""
@@ -278,14 +287,15 @@ def write_reports(report, queries, gallery, out_dir, prefix="retrieval"):
     qclass = {q.id: q.class_id for q in queries}
     gclass = {g.id: g.class_id for g in gallery}
     gcls = [gclass.get(g) for g in gids]
+    gfields = [_csv_field(g) for g in gids]
     ranks = range(1, len(gids) + 1)
     with open(rank_path, "w") as rank_fh, open(hist_path, "w") as hist_fh:
         rank_fh.write("query_id,rank,gallery_id,score\n")
         hist_fh.write("query_id,gallery_id,pair,cosine_distance\n")
         for i in sorted(range(len(qids)), key=qids.__getitem__):
-            qid, qc = qids[i], qclass.get(qids[i])
+            qid, qc = _csv_field(qids[i]), qclass.get(qids[i])
             row, scores = report.order[i].tolist(), report.scores[i].tolist()
-            ids = [gids[j] for j in row]
+            ids = [gfields[j] for j in row]
             pairs = ["positive" if gcls[j] == qc else "negative" for j in row]
             rank_fh.write("".join([f"{qid},{r},{g},{s:.8f}\n"
                                    for r, g, s in zip(ranks, ids, scores)]))

@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline and exit-code contracts."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -133,6 +135,16 @@ def test_eval_duplicate_query_id_is_validation_error(pipeline, tmp_path,
     assert not out_dir.exists()
 
 
+def _blas_env(threads):
+    """The environment for an `sfde` subprocess with `threads` BLAS threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfde.__file__)))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(
+                    [src] + [p for p in os.environ.get("PYTHONPATH", "")
+                             .split(os.pathsep) if p]))
+
+
 def test_eval_reports_do_not_depend_on_blas_threads(tmp_path):
     """The score matrix is large enough for a threaded BLAS to split it."""
     rng = np.random.default_rng(5)
@@ -146,24 +158,98 @@ def test_eval_reports_do_not_depend_on_blas_threads(tmp_path):
                                        int(rng.integers(40)),
                                        v.astype(np.float32))
              for i, v in enumerate(vecs)], stores[name])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sfde.__file__)))
     reports = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in os.environ.get("PYTHONPATH", "")
-                                .split(os.pathsep) if p]))
         out_dir = tmp_path / f"threads{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "sfde.cli", "eval", "--query",
              stores["query"], "--gallery", stores["gallery"],
              "--k", "1,5", "--out", str(out_dir)],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=_blas_env(threads), capture_output=True, text=True,
+            timeout=300)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         reports.append({n: (out_dir / f"retrieval_{n}.csv").read_bytes()
                         for n in ("rankings", "summary", "distances")})
     assert reports[0] == reports[1]
+
+
+def test_train_does_not_depend_on_blas_threads(pipeline, tmp_path):
+    """16 channels at 32x32 make the 1x1 convs' matmuls large enough for a
+    threaded BLAS to split them."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(CFG.replace("4,4,8,8", "16,16,16,32"))
+    outputs = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"threads{threads}.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfde.cli", "train", "--config", str(cfg),
+             "--manifest", pipeline["manifest"], "--out", str(ckpt)],
+            env=_blas_env(threads), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        outputs.append((ckpt.read_bytes(),
+                        (tmp_path / f"threads{threads}.ckpt.log.csv")
+                        .read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
+    bad = str(tmp_path / "nan.bin")
+    blob = bytearray(open(pipeline["query"], "rb").read())
+    blob[-4:] = np.array(np.nan, dtype="<f4").tobytes()
+    open(bad, "wb").write(bytes(blob))
+    last_id = retrieval.load_embeddings(pipeline["query"])[-1].id
+    out_dir = tmp_path / "r"
+    code = cli.main(["eval", "--query", bad, "--gallery", pipeline["gallery"],
+                     "--k", "1", "--out", str(out_dir)])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"record {last_id!r}" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mystery_knob", 1), ("stage_channels", None), ("stage_channels", 5),
+    (None, None)])
+def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
+                                                         capsys, key, value):
+    """An unknown key, a missing or non-list `stage_channels`, and a missing
+    `model_config` are each a CheckpointError, not a traceback."""
+    blob = open(pipeline["ckpt"], "rb").read()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen].decode())
+    if key is None:
+        del header["model_config"]
+    elif value is None:
+        del header["model_config"][key]
+    else:
+        header["model_config"][key] = value
+    text = json.dumps(header).encode()
+    bad = str(tmp_path / "bad.ckpt")
+    open(bad, "wb").write(blob[:8] + struct.pack("<I", len(text)) + text
+                          + blob[12 + hlen:])
+    code = cli.main(["embed", "--ckpt", bad, "--manifest", pipeline["manifest"],
+                     "--split", "train", "--view", "drone",
+                     "--out", str(tmp_path / "e.bin")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "malformed model_config" in err and "Traceback" not in err
+
+
+def test_train_without_train_entries_is_validation_error(pipeline, tmp_path,
+                                                         capsys):
+    manifest = data.load_manifest(pipeline["manifest"])
+    for e in manifest.entries:
+        e.split = "test"
+    bad = str(tmp_path / "no_train.csv")
+    data.save_manifest(manifest, bad)
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", pipeline["cfg"], "--manifest", bad,
+                     "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "no train entries" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_corrupt_store_is_validation_error(pipeline, tmp_path):

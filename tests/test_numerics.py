@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfde import ops
-from sfde.autodiff import Tensor
+from sfde.autodiff import Tape, Tensor
 from sfde.layers import MultiHeadSelfAttention
 
 
@@ -82,6 +82,87 @@ def test_conv_grouped_matches_per_group_conv(rng):
     lo = ops.conv2d(Tensor(x.data[:, :2]), Tensor(w.data[:3]), padding=1)
     hi = ops.conv2d(Tensor(x.data[:, 2:]), Tensor(w.data[3:]), padding=1)
     assert np.allclose(y.data, np.concatenate([lo.data, hi.data], axis=1))
+
+
+def _conv_oracle(x, w, g, stride, padding, dilation, groups):
+    """Direct float64 loops for y = conv(x, w) and, for the loss sum(y * g),
+    dL/dx and dL/dw. x: (N,C,H,W); w: (O,Cg,K,K); g: (N,O,Ho,Wo)."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    H, W = x.shape[2:]
+    O, Cg, K, _ = w.shape
+    Ho, Wo = g.shape[2:]
+    y, gx, gw = np.zeros(g.shape), np.zeros(x.shape), np.zeros(w.shape)
+    for o in range(O):
+        for c in range(Cg):
+            ci = o // (O // groups) * Cg + c
+            for a in range(K):
+                for b in range(K):
+                    for i in range(Ho):
+                        hi = i * stride + a * dilation - padding
+                        if not 0 <= hi < H:
+                            continue
+                        for j in range(Wo):
+                            wj = j * stride + b * dilation - padding
+                            if not 0 <= wj < W:
+                                continue
+                            xv, gv = x[:, ci, hi, wj], g[:, o, i, j]
+                            y[:, o, i, j] += w[o, c, a, b] * xv
+                            gw[o, c, a, b] += gv @ xv
+                            gx[:, ci, hi, wj] += w[o, c, a, b] * gv
+    return y, gx, gw
+
+
+# x shape, w shape, bias, stride, padding, dilation, groups: every conv kind
+# the model runs, plus a grouped conv with several channels per group.
+CONV_CASES = {
+    "dw7": ((2, 4, 9, 9), (4, 1, 7, 7), False, 1, 3, 1, 4),
+    "pw1": ((2, 5, 6, 6), (3, 5, 1, 1), False, 1, 0, 1, 1),
+    "stem4": ((2, 3, 12, 12), (4, 3, 4, 4), False, 4, 0, 1, 1),
+    "down2": ((2, 4, 6, 6), (6, 4, 2, 2), False, 2, 0, 1, 1),
+    "dil1": ((2, 4, 7, 7), (3, 4, 3, 3), False, 1, 1, 1, 1),
+    "dil2": ((2, 4, 7, 7), (3, 4, 3, 3), False, 1, 2, 2, 1),
+    "dil3": ((2, 4, 7, 7), (3, 4, 3, 3), False, 1, 3, 3, 1),
+    "fsab_dw3": ((2, 4, 4, 3), (4, 1, 3, 3), False, 1, 1, 1, 4),
+    "grouped": ((2, 4, 5, 5), (6, 2, 3, 3), False, 1, 1, 1, 2),
+    "bias_unbatched": ((3, 6, 5), (4, 3, 3, 3), True, 1, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", sorted(CONV_CASES))
+def test_conv_matches_direct_loop_oracle(kind, dtype):
+    xs, ws, with_bias, s, p, d, groups = CONV_CASES[kind]
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=xs).astype(dtype)
+    w = rng.normal(size=ws).astype(dtype)
+    b = rng.normal(size=ws[0]).astype(dtype) if with_bias else None
+    xt, wt = Tensor(x), Tensor(w)
+    bt = Tensor(b) if with_bias else None
+    with Tape() as tape:
+        y = ops.conv2d(xt, wt, bt, stride=s, padding=p, dilation=d,
+                       groups=groups)
+        g = rng.normal(size=y.shape).astype(dtype)
+        loss = ops.sum_(ops.mul(y, Tensor(g)))
+    tape.backward(loss)
+
+    if x.ndim == 4:
+        ref_y, ref_gx, ref_gw = _conv_oracle(x, w, g, s, p, d, groups)
+    else:
+        ref_y, ref_gx, ref_gw = _conv_oracle(x[None], w, g[None], s, p, d,
+                                             groups)
+        ref_y, ref_gx = ref_y[0], ref_gx[0]
+    got = {"y": y.data, "dx": tape.grad(xt), "dw": tape.grad(wt)}
+    ref = {"y": ref_y, "dx": ref_gx, "dw": ref_gw}
+    if with_bias:
+        got["db"] = tape.grad(bt)
+        ref["y"] = ref["y"] + b[:, None, None]
+        ref["db"] = g.astype(np.float64).sum(axis=(-2, -1))
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for name, want in ref.items():
+        assert got[name].dtype == dtype, name
+        assert got[name].shape == want.shape, name
+        err = np.abs(got[name] - want).max() / max(1.0, np.abs(want).max())
+        assert err < tol, (name, err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Descriptor assembly, ranking, metric oracles, and the embedding store."""
 
+import csv
 import os
 
 import numpy as np
@@ -12,6 +13,10 @@ from sfde.retrieval import EmbeddingRecord
 def unit(v):
     v = np.asarray(v, dtype=np.float32)
     return v / np.linalg.norm(v)
+
+
+def unit_record(rid):
+    return EmbeddingRecord(rid, "drone", 0, unit([0, 1]))
 
 
 def random_records(rng, n, dim, prefix="g", classes=4):
@@ -258,6 +263,28 @@ def test_evaluate_empty_queries_gives_zero_metrics_and_header_only_csvs(
         "query_id,gallery_id,pair,cosine_distance\n"]
 
 
+def test_reports_quote_ids_that_need_it(rng, tmp_path):
+    names = ["train/0/drone/a,b.pgm", 'say "hi".pgm', "two\nlines.pgm",
+             "cr\r.pgm", "plain.pgm"]
+    queries = [EmbeddingRecord(f"q/{n}", "drone", i % 2,
+                               unit(rng.normal(size=4)))
+               for i, n in enumerate(names)]
+    gallery = [EmbeddingRecord(f"g/{n}", "satellite", i % 2,
+                               unit(rng.normal(size=4)))
+               for i, n in enumerate(names)]
+    report = retrieval.evaluate(queries, gallery, [1])
+    rank_path, _, hist_path = training.write_reports(
+        report, queries, gallery, str(tmp_path))
+    for path, gcol in ((rank_path, 2), (hist_path, 1)):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + len(queries) * len(gallery)
+        assert all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows[1:]} == {q.id for q in queries}
+        assert {row[gcol] for row in rows[1:]} == {g.id for g in gallery}
+        assert '"q/plain.pgm"' not in open(path, newline="").read()
+
+
 @pytest.mark.parametrize("side", ["query", "gallery"])
 def test_evaluate_rejects_duplicate_ids(rng, side):
     gallery = random_records(rng, 6, 4)
@@ -323,6 +350,26 @@ def test_store_rejects_non_unit_vectors(tmp_path):
     rec = EmbeddingRecord("a", "drone", 0, np.array([3.0, 4.0], dtype=np.float32))
     retrieval.save_embeddings([rec], path)
     with pytest.raises(retrieval.StoreVectorError):
+        retrieval.load_embeddings(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_store_rejects_non_finite_vectors_on_save(tmp_path, bad):
+    rec = EmbeddingRecord("q7", "drone", 0, np.array([bad, 0.0], np.float32))
+    path = str(tmp_path / "store.bin")
+    with pytest.raises(retrieval.StoreNonFiniteError, match="'q7'"):
+        retrieval.save_embeddings([unit_record("q6"), rec], path)
+    assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_store_rejects_non_finite_vectors_on_load(tmp_path, bad):
+    path = str(tmp_path / "store.bin")
+    retrieval.save_embeddings([unit_record("a"), unit_record("b")], path)
+    blob = bytearray(open(path, "rb").read())
+    blob[-4:] = np.array(bad, dtype="<f4").tobytes()
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(retrieval.StoreNonFiniteError, match="'b'"):
         retrieval.load_embeddings(path)
 
 
