@@ -59,6 +59,9 @@ def read_pnm(path):
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as e:
         raise PnmError(f"{path}: malformed header near byte {pos}: {e}") from None
+    if width < 1 or height < 1:
+        raise PnmError(f"{path}: bad dimensions {width}x{height} "
+                       "(width and height must be at least 1)")
     if maxval != 255:
         raise PnmError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
@@ -121,6 +124,7 @@ def load_image(path, size):
 # ---------------------------------------------------------------------------
 
 MANIFEST_COLUMNS = ["id", "path", "view", "class_id", "split"]
+VIEWS = ("drone", "satellite")
 
 
 @dataclass
@@ -158,9 +162,9 @@ class DatasetManifest:
         by_class = {}
         for e in self.subset(split):
             by_class.setdefault(e.class_id, set()).add(e.view)
-        problems = [f"class {cid}: missing {sorted({'drone', 'satellite'} - views)}"
+        problems = [f"class {cid}: missing {sorted(set(VIEWS) - views)}"
                     for cid, views in sorted(by_class.items())
-                    if views != {"drone", "satellite"}]
+                    if views != set(VIEWS)]
         ids = [e.id for e in self.entries]
         if len(ids) != len(set(ids)):
             problems.append("duplicate entry ids")
@@ -184,7 +188,7 @@ def ingest(root):
                 class_id = int(cls)
             except ValueError:
                 raise DataError(f"class directory {cls_dir!r} is not an integer id")
-            for view in ("drone", "satellite"):
+            for view in VIEWS:
                 vdir = os.path.join(cls_dir, view)
                 if not os.path.isdir(vdir):
                     continue
@@ -225,6 +229,9 @@ def load_manifest(path):
             except ValueError:
                 raise DataError(f"{path}, line {reader.line_num}: class_id "
                                 f"{r[3]!r} is not an integer") from None
+            if r[2] not in VIEWS:
+                raise DataError(f"{path}, line {reader.line_num}: view "
+                                f"{r[2]!r} is not one of {', '.join(VIEWS)}")
             entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
     return DatasetManifest(entries)
 

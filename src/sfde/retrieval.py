@@ -169,6 +169,9 @@ def evaluate(queries, gallery, k_values):
     k_values = sorted(k_values)
     if not gallery:
         raise ValueError("empty gallery")
+    if min(k_values) < 1:
+        raise ValueError(f"K={min(k_values)} is below 1; every K must be at "
+                         "least 1")
     if max(k_values) > len(gallery):
         raise ValueError(f"K={max(k_values)} exceeds gallery size {len(gallery)}; "
                          "pass a smaller --k list")

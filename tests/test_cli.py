@@ -11,6 +11,7 @@ import pytest
 
 import sfde
 from sfde import cli, data, retrieval, selftest
+from sfde.model import ModelConfig, SFDEModel, save_checkpoint
 
 
 CFG = """
@@ -109,6 +110,20 @@ def test_eval_k_exceeding_gallery_is_validation_error(pipeline):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("k, bad", [("0", "0"), ("1,-1", "-1")])
+def test_eval_k_below_one_is_validation_error(pipeline, tmp_path, capsys,
+                                              k, bad):
+    out_dir = tmp_path / "r"
+    code = cli.main(["eval", "--query", pipeline["query"],
+                     "--gallery", pipeline["gallery"],
+                     "--k", k, "--out", str(out_dir)])
+    assert code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"K={bad} is below 1" in captured.err
+    assert "R@" not in captured.out
+    assert not out_dir.exists()
+
+
 def test_eval_dimension_mismatch_is_validation_error(pipeline, tmp_path):
     vec = np.zeros(4, dtype=np.float32)
     vec[0] = 1.0
@@ -191,6 +206,31 @@ def test_train_does_not_depend_on_blas_threads(pipeline, tmp_path):
                         (tmp_path / f"threads{threads}.ckpt.log.csv")
                         .read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_embed_does_not_depend_on_blas_threads(pipeline, tmp_path):
+    """16 channels at 32x32 and a whole chunk of images per forward pass
+    make the 1x1 convs' matmuls large enough for a threaded BLAS to split
+    them."""
+    model = SFDEModel(ModelConfig(stage_channels=(16, 16, 16, 32),
+                                  blocks_per_stage=1, input_size=128,
+                                  embed_dim=8, heads=2, num_classes=4),
+                      np.random.default_rng(7))
+    ckpt = str(tmp_path / "wide.ckpt")
+    save_checkpoint(ckpt, model, {"norm_mean": [0.45, 0.5, 0.4],
+                                  "norm_std": [0.2, 0.25, 0.3]})
+    stores = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfde.cli", "embed", "--ckpt", ckpt,
+             "--manifest", pipeline["manifest"], "--split", "train",
+             "--view", "both", "--out", str(out)],
+            env=_blas_env(threads), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        stores.append(out.read_bytes())
+    assert stores[0] == stores[1]
 
 
 def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
@@ -318,3 +358,35 @@ def test_embed_negative_class_id_is_validation_error(pipeline, tmp_path):
                      "--view", manifest.entries[0].view, "--out", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [b"P6 0 0 255\n", b"P6 -4 4 255\n"])
+def test_embed_empty_image_is_validation_error(pipeline, tmp_path, capsys,
+                                               header):
+    manifest = data.load_manifest(pipeline["manifest"])
+    entry = manifest.entries[0]
+    entry.path = str(tmp_path / "empty.ppm")
+    open(entry.path, "wb").write(header + bytes(48))
+    bad = str(tmp_path / "empty.csv")
+    data.save_manifest(manifest, bad)
+    out = tmp_path / "e.bin"
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
+                     "--split", entry.split, "--view", entry.view,
+                     "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{entry.path}: bad dimensions" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_embed_unknown_view_is_validation_error(pipeline, tmp_path, capsys):
+    lines = open(pipeline["manifest"]).read().splitlines()
+    lines[2] = lines[2].replace(",drone,", ",both,")
+    bad = str(tmp_path / "view.csv")
+    open(bad, "w").write("\n".join(lines) + "\n")
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
+                     "--split", "train", "--view", "both",
+                     "--out", str(tmp_path / "e.bin")])
+    assert code == cli.EXIT_VALIDATION
+    assert f"{bad}, line 3: view 'both'" in capsys.readouterr().err

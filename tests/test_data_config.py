@@ -42,6 +42,17 @@ def test_pnm_rejects_other_formats(tmp_path):
         data.read_pnm(path)
 
 
+@pytest.mark.parametrize("header", [b"P6 0 0 255\n", b"P5 4 0 255\n",
+                                    b"P6 -2 3 255\n"])
+def test_pnm_rejects_empty_or_negative_dimensions(tmp_path, header):
+    path = str(tmp_path / "e.ppm")
+    open(path, "wb").write(header + bytes(48))
+    width, height = header.split()[1:3]
+    with pytest.raises(data.PnmError, match=f"e.ppm: bad dimensions "
+                       f"{int(width)}x{int(height)}"):
+        data.read_pnm(path)
+
+
 def test_pnm_header_comments_and_whitespace(tmp_path):
     path = str(tmp_path / "c.pgm")
     open(path, "wb").write(b"P5\n# a comment\n 2\n2\n255\n" + bytes([1, 2, 3, 4]))
@@ -109,6 +120,7 @@ def test_manifest_bad_header_rejected(tmp_path):
 @pytest.mark.parametrize("row, problem", [
     ("a,a.pgm,drone", "3 fields, expected 5"),
     ("a,a.pgm,drone,x,train", "class_id 'x' is not an integer"),
+    ("a,a.pgm,both,0,train", "view 'both' is not one of drone, satellite"),
 ])
 def test_manifest_bad_row_names_file_and_line(tmp_path, row, problem):
     path = str(tmp_path / "m.csv")

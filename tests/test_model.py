@@ -5,12 +5,14 @@ import struct
 import numpy as np
 import pytest
 
-from sfde import data, losses, ops
+from sfde import data, losses, ops, retrieval
 from sfde.autodiff import Tape, Tensor
 from sfde.config import RunConfig
 from sfde.model import (CheckpointError, ModelConfig, SFDEModel,
                         load_checkpoint, save_checkpoint)
-from sfde.train import AdamW, compute_batch_losses, cosine_warmup_lr, train
+from sfde.train import (EMBED_BATCH, AdamW, compute_batch_losses,
+                        cosine_warmup_lr, extract_embeddings, standardize,
+                        train)
 
 
 TOY = dict(stage_channels=(4, 4, 8, 8), blocks_per_stage=1, input_size=128,
@@ -231,3 +233,36 @@ def test_train_fixed_seed_is_bit_deterministic(synth_dataset, tmp_path):
     a = open(tmp_path / "m0.ckpt", "rb").read()
     b = open(tmp_path / "m1.ckpt", "rb").read()
     assert a == b
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_batched_extraction_equals_one_image_at_a_time(synth_dataset, dtype):
+    _, manifest = synth_dataset
+    entries = manifest.subset(view=None)
+    # one full chunk, one partial chunk, both views
+    assert EMBED_BATCH < len(entries) < 2 * EMBED_BATCH
+    assert {e.view for e in entries[:EMBED_BATCH]} == {"drone", "satellite"}
+    model = toy_model(dtype=dtype, seed=3)
+    rng = np.random.default_rng(3)
+    for _ in range(3):  # move every BN's running stats off their init
+        model(Tensor(rng.normal(0.3, 2.0, size=(2, 3, 128, 128))
+                     .astype(dtype)), training=True)
+    mean = np.array([0.45, 0.5, 0.4], dtype=np.float32)
+    std = np.array([0.2, 0.25, 0.3], dtype=np.float32)
+
+    reference = []
+    for e in entries:
+        img = standardize(data.load_image(e.path, 128), mean, std)
+        out = model(Tensor(img.astype(dtype)[None]), training=False)
+        reference.append(retrieval.assemble_embedding(
+            out.global_desc.embedding.data[0], out.local_map.data[0],
+            out.freq_map.data[0], p_local=float(model.pool_p_local.data),
+            p_freq=float(model.pool_p_freq.data)))
+
+    records = extract_embeddings(model, (mean, std), entries, 128)
+    assert [(r.id, r.view, r.class_id) for r in records] == \
+        [(e.id, e.view, e.class_id) for e in entries]
+    for r, ref in zip(records, reference):
+        assert r.vector.dtype == np.float32
+        assert np.array_equal(r.vector, ref), r.id
+    assert extract_embeddings(model, (mean, std), [], 128) == []

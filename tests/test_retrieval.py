@@ -295,6 +295,15 @@ def test_evaluate_rejects_duplicate_ids(rng, side):
         retrieval.evaluate(queries, gallery, [1])
 
 
+@pytest.mark.parametrize("k_values, bad", [([0], 0), ([1, -1], -1),
+                                           ([5, 0, 1], 0)])
+def test_evaluate_rejects_k_below_one(rng, k_values, bad):
+    gallery = random_records(rng, 6, 4)
+    queries = random_records(rng, 4, 4, prefix="q")
+    with pytest.raises(ValueError, match=f"K={bad} is below 1"):
+        retrieval.evaluate(queries, gallery, k_values)
+
+
 # ---------------------------------------------------------------------------
 # embedding store
 # ---------------------------------------------------------------------------
