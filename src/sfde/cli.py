@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import data, retrieval, train as training
-from .config import ConfigError, RunConfig, load_config, serialize_config
+from .config import ConfigError, RunConfig, load_config
 from .model import CheckpointError
 from .ops import ShapeError
 

@@ -1,12 +1,17 @@
 """Run configuration and its flat `key = value` file format.
 
-Sections group keys; unknown keys or sections are errors (typo safety).
-Parsing then re-serializing is idempotent.
+Each section is a dataclass, and its fields are the section's keys:
+`[model]` is `ModelConfig` less `num_classes` (training sets it from the
+data), `[train]` is `TrainConfig` and `[loss]` is `LossWeights`. A key's type
+is the type of its default; a field's metadata may bound it (`min`) or list
+its values (`choices`). Unknown keys or sections, repeated keys and values
+that do not fit are errors that name the line. Parsing then re-serializing
+is idempotent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from .losses import LossWeights
 from .model import ModelConfig
@@ -17,80 +22,66 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    # [model]
-    stage_channels: tuple = (16, 32, 64, 128)
-    blocks_per_stage: int = 2
-    input_size: int = 128
-    embed_dim: int = 256
-    heads: int = 4
-    use_gscb: bool = True
-    use_lgsb: bool = True
-    use_fsab: bool = True
-    dtype: str = "float32"
-    # [train]
+class TrainConfig:
+    """The `[train]` section of a run config."""
     seed: int = 0
-    steps: int = 200
-    batch_pairs: int = 8
+    steps: int = field(default=200, metadata={"min": 1})
+    batch_pairs: int = field(default=8, metadata={"min": 1})
     learning_rate: float = 0.001
     lr_floor: float = 0.0
     weight_decay: float = 0.05
     warmup_fraction: float = 0.1
     flip_probability: float = 0.5
-    # [loss]
-    lambda_ce: float = 0.1
-    lambda_infonce: float = 1.0
-    lambda_dsa: float = 1.3
-
-    def model_config(self, num_classes):
-        return ModelConfig(
-            stage_channels=tuple(self.stage_channels),
-            blocks_per_stage=self.blocks_per_stage,
-            input_size=self.input_size,
-            embed_dim=self.embed_dim,
-            heads=self.heads,
-            num_classes=num_classes,
-            use_gscb=self.use_gscb,
-            use_lgsb=self.use_lgsb,
-            use_fsab=self.use_fsab,
-            dtype=self.dtype,
-        )
-
-    def loss_weights(self):
-        return LossWeights(self.lambda_ce, self.lambda_infonce, self.lambda_dsa)
 
 
 _SECTIONS = {
-    "model": ["stage_channels", "blocks_per_stage", "input_size", "embed_dim",
-              "heads", "use_gscb", "use_lgsb", "use_fsab", "dtype"],
-    "train": ["seed", "steps", "batch_pairs", "learning_rate", "lr_floor",
-              "weight_decay", "warmup_fraction", "flip_probability"],
-    "loss": ["lambda_ce", "lambda_infonce", "lambda_dsa"],
+    "model": [f for f in fields(ModelConfig) if f.name != "num_classes"],
+    "train": list(fields(TrainConfig)),
+    "loss": list(fields(LossWeights)),
 }
+_KEYS = {f.name: (section, f) for section, fs in _SECTIONS.items() for f in fs}
 
-_KEY_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}
+
+def _section(cfg, name):
+    return {f.name: getattr(cfg, f.name) for f in _SECTIONS[name]}
 
 
-def _parse_value(key, raw):
-    raw = raw.strip()
-    if key == "stage_channels":
-        return tuple(int(v) for v in raw.split(","))
-    if key == "dtype":
-        if raw not in ("float32", "float64"):
-            raise ConfigError(f"dtype must be float32 or float64, got {raw!r}")
-        return raw
-    if key.startswith("use_"):
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default, metadata=f.metadata))
+     for fs in _SECTIONS.values() for f in fs],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Every key of every section as one flat dataclass, e.g. "
+                   "`RunConfig(steps=5)`. `model_config(num_classes)` and "
+                   "`loss_weights()` build the section objects training uses.",
+        "model_config": lambda self, num_classes: ModelConfig(
+            num_classes=num_classes, **_section(self, "model")),
+        "loss_weights": lambda self: LossWeights(**_section(self, "loss")),
+    })
+
+
+def _parse_value(f, raw):
+    """`raw` as a value of field `f`, whose default gives its type."""
+    kind, meta = type(f.default), f.metadata
+    if kind is bool:
         if raw not in ("true", "false"):
-            raise ConfigError(f"{key} must be true or false, got {raw!r}")
+            raise ValueError("must be true or false")
         return raw == "true"
-    if key in ("blocks_per_stage", "input_size", "embed_dim", "heads", "seed",
-               "steps", "batch_pairs"):
-        return int(raw)
-    return float(raw)
+    try:
+        value = (tuple(int(v) for v in raw.split(",")) if kind is tuple
+                 else kind(raw))
+    except ValueError:
+        raise ValueError(f"must be of type {kind.__name__}") from None
+    if "choices" in meta and value not in meta["choices"]:
+        raise ValueError("must be " + " or ".join(meta["choices"]))
+    if "min" in meta and value < meta["min"]:
+        raise ValueError(f"must be at least {meta['min']}")
+    return value
 
 
 def parse_config(text) -> RunConfig:
-    cfg = RunConfig()
+    values, seen = {}, {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -104,26 +95,34 @@ def parse_config(text) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (p.strip() for p in line.split("=", 1))
-        if key not in _KEY_SECTION:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if section is not None and _KEY_SECTION[key] != section:
+        home, f = _KEYS[key]
+        if section is not None and home != section:
             raise ConfigError(f"line {lineno}: key {key!r} does not belong in "
                               f"section [{section}]")
-        setattr(cfg, key, _parse_value(key, raw))
-    return cfg
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
+        try:
+            values[key] = _parse_value(f, raw)
+        except ValueError as e:
+            raise ConfigError(f"line {lineno}: {key} {e}, got {raw!r}") from None
+    return RunConfig(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for section, keys in _SECTIONS.items():
+    for section, fs in _SECTIONS.items():
         lines.append(f"[{section}]")
-        for key in keys:
-            val = getattr(cfg, key)
-            if key == "stage_channels":
+        for f in fs:
+            val = getattr(cfg, f.name)
+            if type(f.default) is tuple:
                 val = ",".join(str(v) for v in val)
             elif isinstance(val, bool):
                 val = "true" if val else "false"
-            lines.append(f"{key} = {val}")
+            lines.append(f"{f.name} = {val}")
         lines.append("")
     return "\n".join(lines)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 
 
 def trunc_normal(rng, shape, std=0.02, dtype=np.float32):

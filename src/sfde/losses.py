@@ -1,6 +1,6 @@
 """Supervision: classification cross-entropy on the global branch, symmetric
-InfoNCE on pooled local-branch features, the alignment loss on pooled
-frequency-branch features, and their weighted sum.
+InfoNCE on pooled local-branch features, the same InfoNCE as the alignment
+loss on pooled frequency-branch features, and their weighted sum.
 
 Default weights (0.1, 1.0, 1.3) follow the training recipe this artifact
 reproduces. The contrastive temperature is a learnable scalar stored as a
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 
 
 class LossError(ValueError):
@@ -23,12 +23,13 @@ class LossError(ValueError):
 
 @dataclass
 class LossWeights:
-    ce: float = 0.1
-    infonce: float = 1.0
-    dsa: float = 1.3
+    """The `[loss]` section of a run config."""
+    lambda_ce: float = 0.1
+    lambda_infonce: float = 1.0
+    lambda_dsa: float = 1.3
 
     def validate(self):
-        if self.ce < 0 or self.infonce < 0 or self.dsa < 0:
+        if self.lambda_ce < 0 or self.lambda_infonce < 0 or self.lambda_dsa < 0:
             raise LossError("loss weights must be non-negative")
 
 
@@ -61,44 +62,29 @@ def _gather_rows(x, cols):
     return out
 
 
-def _symmetric_nce(a, b, log_temperature):
-    """0.5 * (row-wise CE + column-wise CE) of the scaled similarity matrix.
+def info_nce(a, b, temperature):
+    """Symmetric InfoNCE over cross-view pairs: 0.5 * (row-wise CE +
+    column-wise CE) of the temperature-scaled similarity matrix.
 
     a, b: (N, D) L2-normalized embeddings, row i of each matched.
-    """
-    n = a.shape[0]
-    if n < 2:
-        raise LossError("contrastive loss needs at least 2 pairs in the batch")
-    sims = ops.matmul(a, ops.transpose(b, (1, 0)))
-    inv_t = ops.exp(ops.neg(log_temperature))
-    scaled = ops.mul(sims, inv_t)
-    labels = np.arange(n)
-    row_ce = cross_entropy(scaled, labels)
-    col_ce = cross_entropy(ops.transpose(scaled, (1, 0)), labels)
-    return ops.scale(ops.add(row_ce, col_ce), 0.5)
-
-
-def info_nce(drone_emb, sat_emb, temperature):
-    """Symmetric InfoNCE over cross-view pairs.
-
-    `temperature` is either a positive float or a log-temperature Parameter
+    `temperature` is either a positive float or a log-temperature Tensor
     (the learnable form used in training).
     """
     if not isinstance(temperature, Tensor):
         t = float(temperature)
         if t <= 0:
             raise LossError(f"temperature must be positive, got {t}")
-        temperature = Tensor(np.asarray(np.log(t), dtype=drone_emb.dtype))
-    return _symmetric_nce(drone_emb, sat_emb, temperature)
-
-
-def dsa_loss(drone_emb, sat_emb, temperature):
-    """Alignment loss on pooled frequency-branch embeddings.
-
-    Concretized as symmetric InfoNCE (kept behind its own entry point so the
-    formulation can be swapped independently of the local-branch loss).
-    """
-    return info_nce(drone_emb, sat_emb, temperature)
+        temperature = Tensor(np.asarray(np.log(t), dtype=a.dtype))
+    n = a.shape[0]
+    if n < 2:
+        raise LossError("contrastive loss needs at least 2 pairs in the batch")
+    sims = ops.matmul(a, ops.transpose(b, (1, 0)))
+    inv_t = ops.exp(ops.neg(temperature))
+    scaled = ops.mul(sims, inv_t)
+    labels = np.arange(n)
+    row_ce = cross_entropy(scaled, labels)
+    col_ce = cross_entropy(ops.transpose(scaled, (1, 0)), labels)
+    return ops.scale(ops.add(row_ce, col_ce), 0.5)
 
 
 def pool_for_contrast(feature_map, gem_p):
@@ -113,7 +99,8 @@ def total_loss(ce, nce, dsa, weights: LossWeights):
     None (treated as absent, not zero-weighted)."""
     weights.validate()
     parts = []
-    for term, w in ((ce, weights.ce), (nce, weights.infonce), (dsa, weights.dsa)):
+    for term, w in ((ce, weights.lambda_ce), (nce, weights.lambda_infonce),
+                    (dsa, weights.lambda_dsa)):
         if term is not None:
             parts.append(ops.scale(term, w))
     if not parts:

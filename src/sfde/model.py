@@ -5,15 +5,15 @@ serialization of the complete parameter/buffer state.
 from __future__ import annotations
 
 import json
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import ops
 from .autodiff import Parameter, Tensor
 from .backbone import Backbone, BackboneConfig
+from .binio import Reader, write_atomic
 from .fsab import FrequencyStabilityBranch
 from .gscb import GlobalSemanticBranch
 from .layers import Module
@@ -37,7 +37,8 @@ class ModelConfig:
     use_gscb: bool = True
     use_lgsb: bool = True
     use_fsab: bool = True
-    dtype: str = "float32"
+    dtype: str = field(default="float32",
+                       metadata={"choices": ("float32", "float64")})
 
     def validate(self):
         bb = self.backbone_config()
@@ -135,6 +136,7 @@ class SFDEModel(Module):
 
 CKPT_MAGIC = b"SFDK"
 CKPT_VERSION = 1
+CKPT_DTYPES = {0: "<f4", 1: "<f8"}  # dtype code -> array dtype
 
 
 class CheckpointError(ValueError):
@@ -146,7 +148,7 @@ def save_checkpoint(path, model: SFDEModel, meta: dict):
     header, u32 array count, then per array {u16 name length, name, u8 dtype
     (0=f32, 1=f64), u8 ndim, u32 dims..., raw data}. Atomic via rename."""
     header = dict(meta)
-    header["model_config"] = vars_config(model.cfg)
+    header["model_config"] = asdict(model.cfg)
     header["optimizer"] = OPTIMIZER_NOTE
     hdr = json.dumps(header, sort_keys=True).encode()
     arrays = list(model.named_parameters()) + [
@@ -162,44 +164,25 @@ def save_checkpoint(path, model: SFDEModel, meta: dict):
         # note: ascontiguousarray would promote 0-d arrays to 1-d
         arr = np.asarray(t.data, order="C")
         code = 1 if arr.dtype == np.float64 else 0
-        arr = arr.astype("<f8" if code else "<f4")
+        arr = arr.astype(CKPT_DTYPES[code])
         blob += struct.pack("<H", len(nb)) + nb
         blob += struct.pack("<BB", code, arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
-
-
-def vars_config(cfg: ModelConfig):
-    d = dict(vars(cfg))
-    d["stage_channels"] = list(cfg.stage_channels)
-    return d
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path, rng=None):
     """Rebuild a model (fresh RNG init, then overwritten) plus the header."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"truncated checkpoint at byte {off}")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    if take(4) != CKPT_MAGIC:
+        r = Reader(fh.read(), CheckpointError)
+    if r.take(4, "magic") != CKPT_MAGIC:
         raise CheckpointError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", take(4))
+    (version,) = r.unpack("<I", "version")
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(take(hlen).decode())
+    (hlen,) = r.unpack("<I", "header length")
+    header = json.loads(r.take(hlen, "header").decode())
     try:
         cfg_d = dict(header["model_config"])
         cfg_d["stage_channels"] = tuple(cfg_d["stage_channels"])
@@ -209,30 +192,35 @@ def load_checkpoint(path, rng=None):
                               f"({type(e).__name__}: {e})") from e
     model = SFDEModel(cfg, rng or np.random.default_rng(0))
 
-    (count,) = struct.unpack("<I", take(4))
+    (count,) = r.unpack("<I", "array count")
     arrays = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode()
-        code, ndim = struct.unpack("<BB", take(2))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        dt = "<f8" if code else "<f4"
-        nbytes = int(np.prod(dims)) * (8 if code else 4)
-        arrays[name] = np.frombuffer(take(nbytes), dtype=dt).reshape(dims)
+    for i in range(count):
+        (nlen,) = r.unpack("<H", f"array {i} name length")
+        name = r.take(nlen, f"array {i} name").decode()
+        code, ndim = r.unpack("<BB", f"array {name!r} dtype")
+        if code not in CKPT_DTYPES:
+            raise CheckpointError(f"array {name!r} has unknown dtype code "
+                                  f"{code}")
+        dims = r.unpack(f"<{ndim}I", f"array {name!r} shape")
+        dt = np.dtype(CKPT_DTYPES[code])
+        data = r.take(int(np.prod(dims)) * dt.itemsize, f"array {name!r}")
+        arrays[name] = np.frombuffer(data, dtype=dt).reshape(dims)
+    r.end(CheckpointError)
 
     params = dict(model.named_parameters())
     buffers = dict(model.named_buffers())
     for name, arr in arrays.items():
-        if name in params:
-            if params[name].shape != arr.shape:
-                raise CheckpointError(
-                    f"checkpoint/model mismatch for {name}: "
-                    f"{arr.shape} vs {params[name].shape}")
-            params[name].data = arr.astype(params[name].dtype)
-        elif name in buffers:
-            buffers[name][...] = arr
-        else:
+        target = params.get(name, buffers.get(name))
+        if target is None:
             raise CheckpointError(f"unknown array {name!r} in checkpoint")
+        if target.shape != arr.shape:
+            raise CheckpointError(
+                f"checkpoint/model mismatch for {name}: "
+                f"{arr.shape} vs {target.shape}")
+        if name in params:
+            target.data = arr.astype(target.dtype)
+        else:
+            target[...] = arr
     missing = (set(params) | set(buffers)) - set(arrays)
     if missing:
         raise CheckpointError(f"checkpoint missing arrays: {sorted(missing)}")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .autodiff import Parameter, Tensor, record
+from .autodiff import Tensor, record
 
 
 class ShapeError(ValueError):
@@ -48,14 +48,6 @@ def add(a, b):
     out = Tensor(a.data + b.data)
     record([out], [a, b],
            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-    return out
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    out = Tensor(a.data - b.data)
-    record([out], [a, b],
-           lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)))
     return out
 
 
@@ -94,22 +86,9 @@ def exp(a):
     return out
 
 
-def log(a):
-    out = Tensor(np.log(a.data))
-    record([out], [a], lambda g: (g / a.data,))
-    return out
-
-
 def pow_const(a, c: float):
     out = Tensor(a.data ** c)
     record([out], [a], lambda g: (g * c * a.data ** (c - 1.0),))
-    return out
-
-
-def clamp_min(a, lo: float):
-    mask = a.data > lo
-    out = Tensor(np.maximum(a.data, lo))
-    record([out], [a], lambda g: (g * mask,))
     return out
 
 
@@ -142,8 +121,9 @@ def gelu(a):
     x = a.data
     phi = 0.5 * (1.0 + erf(x / _SQRT_2))
     out = Tensor(x * phi)
-    dens = np.exp(-0.5 * x * x) / _SQRT_2PI
-    record([out], [a], lambda g: (g * (phi + x * dens),))
+    # the density is computed only when a backward pass needs it
+    record([out], [a], lambda g: (
+        g * (phi + x * (np.exp(-0.5 * x * x) / _SQRT_2PI)),))
     return out
 
 

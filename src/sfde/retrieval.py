@@ -3,19 +3,20 @@ embedding store.
 
 Store layout (binary, little-endian): magic "SFDE", u32 format version,
 u32 record count, u32 dim, then per record {u16 id length, id UTF-8, u8 view
-(0=drone, 1=satellite), u32 class_id, dim x float32}.
+(0=drone, 1=satellite), u32 class_id, dim x float32}, and nothing after the
+last record.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
 from .autodiff import Tensor
+from .binio import Reader, write_atomic
 
 MAGIC = b"SFDE"
 VERSION = 1
@@ -142,11 +143,6 @@ def cosine_topk(query, gallery, k):
     return [(gallery[i], s) for i, s in zip(order[0].tolist(), scores[0].tolist())]
 
 
-def recall_at_k(ranked_ids, relevant, k):
-    """1.0 if any of the top-k ids is relevant else 0.0 (per query)."""
-    return 1.0 if any(r in relevant for r in ranked_ids[:k]) else 0.0
-
-
 def average_precision(ranked_ids, relevant):
     """Mean of precision-at-rank over the relevant items' ranks."""
     if not relevant:
@@ -234,40 +230,25 @@ def save_embeddings(records, path):
         blob += struct.pack("<H", len(rid)) + rid
         blob += struct.pack("<BI", VIEW_CODES[r.view], r.class_id)
         blob += vec.tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
+    write_atomic(path, blob)
 
 
 def load_embeddings(path):
     with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise StoreTruncatedError(
-                f"store truncated reading {what} at byte {off} "
-                f"(need {n}, have {len(blob) - off})")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    if take(4, "magic") != MAGIC:
+        r = Reader(fh.read(), StoreTruncatedError)
+    if r.take(4, "magic") != MAGIC:
         raise StoreMagicError(f"bad store magic in {path}")
-    version, count, dim = struct.unpack("<III", take(12, "header"))
+    version, count, dim = r.unpack("<III", "header")
     if version != VERSION:
         raise StoreVersionError(f"unsupported store version {version}")
     records = []
     for i in range(count):
-        (nlen,) = struct.unpack("<H", take(2, f"record {i} id length"))
-        rid = take(nlen, f"record {i} id").decode()
-        view_code, class_id = struct.unpack("<BI", take(5, f"record {i} tags"))
+        (nlen,) = r.unpack("<H", f"record {i} id length")
+        rid = r.take(nlen, f"record {i} id").decode()
+        view_code, class_id = r.unpack("<BI", f"record {i} tags")
         if view_code not in CODE_VIEWS:
             raise StoreError(f"record {rid!r} has unknown view code {view_code}")
-        vec = np.frombuffer(take(4 * dim, f"record {i} vector"), dtype="<f4")
+        vec = np.frombuffer(r.take(4 * dim, f"record {i} vector"), dtype="<f4")
         if not np.isfinite(vec).all():
             raise StoreNonFiniteError(f"record {rid!r} vector is not finite")
         norm = float(np.linalg.norm(vec))
@@ -276,4 +257,5 @@ def load_embeddings(path):
                 f"record {rid!r} vector norm {norm:.6f} is not unit")
         records.append(EmbeddingRecord(rid, CODE_VIEWS[view_code], class_id,
                                        np.array(vec)))
+    r.end(StoreError)
     return records

@@ -117,20 +117,20 @@ def compute_batch_losses(model: SFDEModel, drone_imgs, sat_imgs, labels,
         model.cfg.np_dtype))
     out = model(batch, training=training, rng=rng)
 
-    ce = nce = dsa = None
+    def contrast(feature_map, gem_p):
+        if feature_map is None or n < 2:
+            return None
+        emb = losses.pool_for_contrast(feature_map, gem_p)
+        return losses.info_nce(ops.slice_(emb, slice(0, n)),
+                               ops.slice_(emb, slice(n, 2 * n)),
+                               model.log_temperature)
+
+    ce = None
     if out.global_desc is not None and out.global_desc.logits is not None:
         both_labels = np.concatenate([labels, labels])
         ce = losses.cross_entropy(out.global_desc.logits, both_labels)
-    if out.local_map is not None and n >= 2:
-        emb = losses.pool_for_contrast(out.local_map, model.pool_p_local)
-        d_emb = ops.slice_(emb, slice(0, n))
-        s_emb = ops.slice_(emb, slice(n, 2 * n))
-        nce = losses._symmetric_nce(d_emb, s_emb, model.log_temperature)
-    if out.freq_map is not None and n >= 2:
-        emb = losses.pool_for_contrast(out.freq_map, model.pool_p_freq)
-        d_emb = ops.slice_(emb, slice(0, n))
-        s_emb = ops.slice_(emb, slice(n, 2 * n))
-        dsa = losses._symmetric_nce(d_emb, s_emb, model.log_temperature)
+    nce = contrast(out.local_map, model.pool_p_local)
+    dsa = contrast(out.freq_map, model.pool_p_freq)
     total = losses.total_loss(ce, nce, dsa, weights)
     return total, ce, nce, dsa, out
 
@@ -291,8 +291,10 @@ def _csv_field(text):
 
 
 def write_reports(report, queries, gallery, out_dir, prefix="retrieval"):
-    """Ranking CSV, summary CSV, and the positive/negative cosine-distance
-    histogram CSV. Query blocks are written in ascending query-id order."""
+    """Ranking CSV, summary CSV, and the distances CSV, which repeats every
+    ranked (query, gallery) pair with its positive/negative label and its
+    cosine distance `1 - score`. Query blocks are written in ascending
+    query-id order."""
     os.makedirs(out_dir, exist_ok=True)
     rank_path = os.path.join(out_dir, f"{prefix}_rankings.csv")
     summary_path = os.path.join(out_dir, f"{prefix}_summary.csv")

@@ -327,6 +327,32 @@ def test_bad_config_is_validation_error(pipeline, tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[train]\nsteps = 0\n", "line 2: steps must be at least 1, got '0'"),
+    ("[train]\nbatch_pairs = 0\n",
+     "line 2: batch_pairs must be at least 1, got '0'"),
+    ("[train]\nsteps = ten\n", "line 2: steps must be of type int, got 'ten'"),
+    ("[train]\nsteps = 3\n\nsteps = 4\n",
+     "line 4: key 'steps' is already set on line 2")],
+    ids=["steps-zero", "batch-pairs-zero", "steps-not-int", "repeated-key"])
+def test_bad_config_value_names_line_and_key(pipeline, tmp_path, capsys,
+                                             monkeypatch, text, message):
+    """Rejected while parsing: no image is read and no checkpoint written."""
+    def no_images(*args):
+        raise AssertionError("an image was read")
+
+    monkeypatch.setattr(sfde.train, "load_image", no_images)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", str(cfg),
+                     "--manifest", pipeline["manifest"], "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_embed_empty_subset_is_validation_error(pipeline, tmp_path):
     code = cli.main(["embed", "--ckpt", pipeline["ckpt"],
                      "--manifest", pipeline["manifest"],

@@ -1,12 +1,14 @@
 """Image decoding, manifest ingestion, config parsing, schedule shape."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sfde import data
 from sfde.config import ConfigError, RunConfig, parse_config, serialize_config
+from sfde.model import ModelConfig
 from sfde.train import cosine_warmup_lr
 
 
@@ -155,6 +157,53 @@ def test_config_roundtrip_idempotent():
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+# `serialize_config(RunConfig())` before the schema was derived from the
+# section dataclasses; the text must not change.
+DEFAULT_CONFIG_TEXT = """\
+[model]
+stage_channels = 16,32,64,128
+blocks_per_stage = 2
+input_size = 128
+embed_dim = 256
+heads = 4
+use_gscb = true
+use_lgsb = true
+use_fsab = true
+dtype = float32
+
+[train]
+seed = 0
+steps = 200
+batch_pairs = 8
+learning_rate = 0.001
+lr_floor = 0.0
+weight_decay = 0.05
+warmup_fraction = 0.1
+flip_probability = 0.5
+
+[loss]
+lambda_ce = 0.1
+lambda_infonce = 1.0
+lambda_dsa = 1.3
+"""
+
+
+def test_default_config_text_is_pinned():
+    assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
+
+
+def test_config_model_keys_are_model_config_fields():
+    text = serialize_config(RunConfig())
+    model_section = text.split("[model]\n")[1].split("\n\n")[0]
+    keys = [line.split(" = ")[0] for line in model_section.splitlines()]
+    expected = [f for f in fields(ModelConfig) if f.name != "num_classes"]
+    assert keys == [f.name for f in expected]
+    defaults = RunConfig()
+    for f in expected:
+        assert getattr(defaults, f.name) == f.default, f.name
+    assert defaults.model_config(num_classes=5) == ModelConfig(num_classes=5)
 
 
 def test_config_parses_sections_and_types():

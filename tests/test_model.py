@@ -177,6 +177,32 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("buffer-shape", r"mismatch for gscb\.norm\.running_mean: \(1,\) vs \(8,\)"),
+    ("dtype-code", "unknown dtype code 7"),
+    ("trailing-bytes", "3 trailing bytes")],
+    ids=["buffer-shape", "dtype-code", "trailing-bytes"])
+def test_checkpoint_rejects_malformed_arrays(tmp_path, fault, message):
+    """A buffer of the wrong shape is not broadcast, an unknown dtype code is
+    not read as float64, and bytes after the last array are not ignored."""
+    model = toy_model()
+    if fault == "buffer-shape":
+        model.gscb.norm.register_buffer("running_mean", np.full(1, 5.0))
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model, {})
+    blob = bytearray(open(path, "rb").read())
+    if fault == "dtype-code":
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        at = 12 + hlen + 4  # the first array's u16 name length
+        (nlen,) = struct.unpack("<H", blob[at:at + 2])
+        blob[at + 2 + nlen] = 7
+    elif fault == "trailing-bytes":
+        blob += b"\0\0\0"
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
 def test_adamw_respects_parameter_flags(rng):
     from sfde.autodiff import Parameter
     decayed = Parameter(np.full(3, 10.0))

@@ -158,13 +158,6 @@ def test_ap_hand_cases():
     assert retrieval.average_precision(ranked, {"r1", "r2"}) == pytest.approx(0.75)
 
 
-def test_recall_hand_cases():
-    ranked = ["x", "y", "a", "z"]
-    assert retrieval.recall_at_k(ranked, {"a"}, 1) == 0.0
-    assert retrieval.recall_at_k(ranked, {"a"}, 3) == 1.0
-    assert retrieval.recall_at_k(ranked, {"a"}, 4) == 1.0
-
-
 def brute_force_metrics(queries, gallery, k_values):
     """Independent implementation: exhaustive sort + literal definitions."""
     recalls = {k: [] for k in k_values}
@@ -341,6 +334,22 @@ def test_store_truncated_payload(rng, tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-5])
     with pytest.raises(retrieval.StoreTruncatedError):
+        retrieval.load_embeddings(path)
+
+
+@pytest.mark.parametrize("fault", ["count-lowered", "byte-appended"])
+def test_store_rejects_trailing_bytes(rng, tmp_path, fault):
+    """A store whose record count was lowered, or that has bytes after its
+    last record, does not load with records silently dropped."""
+    path = str(tmp_path / "store.bin")
+    retrieval.save_embeddings(random_records(rng, 3, 4), path)
+    blob = bytearray(open(path, "rb").read())
+    if fault == "count-lowered":
+        blob[8:12] = (2).to_bytes(4, "little")
+    else:
+        blob += b"\0"
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(retrieval.StoreError, match="trailing bytes"):
         retrieval.load_embeddings(path)
 
 
