@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ops import _interp_weights
+
 
 class DataError(ValueError):
     pass
@@ -92,16 +94,8 @@ def write_pnm(path, arr):
 def resize_bilinear(img, out_h, out_w):
     """Bilinear resample (align-corners-false) for (H, W) or (H, W, C) floats."""
     h, w = img.shape[:2]
-
-    def axis_weights(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0, n_in - 1)
-        i0 = np.floor(src).astype(int)
-        i1 = np.minimum(i0 + 1, n_in - 1)
-        return i0, i1, src - i0
-
-    i0, i1, wh = axis_weights(h, out_h)
-    j0, j1, ww = axis_weights(w, out_w)
+    i0, i1, wh = _interp_weights(h, out_h, np.float64)
+    j0, j1, ww = _interp_weights(w, out_w, np.float64)
     wh = wh.reshape(-1, *([1] * (img.ndim - 1)))
     rows = img[i0] * (1 - wh) + img[i1] * wh
     ww = ww.reshape(1, -1, *([1] * (img.ndim - 2)))

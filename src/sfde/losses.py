@@ -9,7 +9,7 @@ log-temperature, initialized at ln(0.07), shared by both contrastive terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,9 @@ class LossError(ValueError):
 @dataclass
 class LossWeights:
     """The `[loss]` section of a run config."""
-    lambda_ce: float = 0.1
-    lambda_infonce: float = 1.0
-    lambda_dsa: float = 1.3
+    lambda_ce: float = field(default=0.1, metadata={"min": 0})
+    lambda_infonce: float = field(default=1.0, metadata={"min": 0})
+    lambda_dsa: float = field(default=1.3, metadata={"min": 0})
 
     def validate(self):
         if self.lambda_ce < 0 or self.lambda_infonce < 0 or self.lambda_dsa < 0:

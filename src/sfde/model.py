@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class ModelConfig:
     blocks_per_stage: int = 2
     input_size: int = 128
     embed_dim: int = 256
-    heads: int = 4
+    heads: int = field(default=4, metadata={"min": 1})
     num_classes: int = 0
     use_gscb: bool = True
     use_lgsb: bool = True
@@ -41,6 +41,8 @@ class ModelConfig:
                        metadata={"choices": ("float32", "float64")})
 
     def validate(self):
+        if self.heads < 1:
+            raise ops.ShapeError(f"heads must be at least 1, got {self.heads}")
         bb = self.backbone_config()
         bb.validate()
         c, s = bb.out_channels, bb.out_size
@@ -190,6 +192,12 @@ def load_checkpoint(path, rng=None):
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed model_config in checkpoint "
                               f"({type(e).__name__}: {e})") from e
+    for f in fields(ModelConfig):
+        choices = f.metadata.get("choices")
+        if choices and getattr(cfg, f.name) not in choices:
+            raise CheckpointError(
+                f"malformed model_config in checkpoint ({f.name} must be "
+                f"{' or '.join(choices)}, got {getattr(cfg, f.name)!r})")
     model = SFDEModel(cfg, rng or np.random.default_rng(0))
 
     (count,) = r.unpack("<I", "array count")

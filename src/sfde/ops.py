@@ -389,11 +389,21 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
 # pooling / resampling
 # ---------------------------------------------------------------------------
 
-def _pool_bounds(n, out):
-    """Floor/ceil partition: cell i covers floor(i*n/out) .. ceil((i+1)*n/out)-1."""
-    starts = [(i * n) // out for i in range(out)]
-    ends = [-((-(i + 1) * n) // out) for i in range(out)]
-    return starts, ends
+def _separable(x, a, b):
+    """a @ x @ b.T over the last two axes for constant matrices a, b; its
+    backward is the adjoint a.T @ g @ b."""
+    out = Tensor(a @ x.data @ b.T)
+    record([out], [x], lambda g: (a.T @ g @ b,))
+    return out
+
+
+def _pool_matrix(n, out, dtype):
+    """(out, n) matrix whose row i averages the floor/ceil window
+    floor(i*n/out) .. ceil((i+1)*n/out)-1; the windows partition the input."""
+    i = np.arange(out)[:, None]
+    start, end = (i * n) // out, -((-(i + 1) * n) // out)
+    cols = np.arange(n)
+    return (((cols >= start) & (cols < end)) / (end - start)).astype(dtype)
 
 
 def adaptive_avg_pool(x, out_h, out_w):
@@ -404,24 +414,8 @@ def adaptive_avg_pool(x, out_h, out_w):
     if out_h > H or out_w > W:
         raise ShapeError(f"adaptive_avg_pool output {out_h}x{out_w} exceeds "
                          f"input {H}x{W}")
-    hs, he = _pool_bounds(H, out_h)
-    ws, we = _pool_bounds(W, out_w)
-    out_d = np.empty(x.shape[:-2] + (out_h, out_w), dtype=x.dtype)
-    for i in range(out_h):
-        for j in range(out_w):
-            out_d[..., i, j] = x.data[..., hs[i]:he[i], ws[j]:we[j]].mean(axis=(-2, -1))
-    out = Tensor(out_d)
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        for i in range(out_h):
-            for j in range(out_w):
-                cnt = (he[i] - hs[i]) * (we[j] - ws[j])
-                gx[..., hs[i]:he[i], ws[j]:we[j]] += g[..., i:i + 1, j:j + 1] / cnt
-        return (gx,)
-
-    record([out], [x], bwd)
-    return out
+    return _separable(x, _pool_matrix(H, out_h, x.dtype),
+                      _pool_matrix(W, out_w, x.dtype))
 
 
 def _interp_weights(n_in, n_out, dtype):
@@ -434,32 +428,25 @@ def _interp_weights(n_in, n_out, dtype):
     return i0, i1, w
 
 
+def _interp_matrix(n_in, n_out, dtype):
+    """(n_out, n_in) matrix of the lerp weights: row i holds 1 - w at i0 and
+    w at i1 (summed where the two coincide at the border)."""
+    i0, i1, w = _interp_weights(n_in, n_out, dtype.type)
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    rows = np.arange(n_out)
+    m[rows, i0] = 1.0 - w
+    m[rows, i1] += w
+    return m
+
+
 def bilinear_upsample(x, out_h, out_w):
     """align-corners-false bilinear interpolation; constants map to constants."""
     H, W = x.shape[-2], x.shape[-1]
     if out_h < H or out_w < W:
         raise ShapeError(f"bilinear_upsample target {out_h}x{out_w} smaller "
                          f"than input {H}x{W}")
-    i0, i1, wh = _interp_weights(H, out_h, x.dtype.type)
-    j0, j1, ww = _interp_weights(W, out_w, x.dtype.type)
-
-    rows = x.data[..., i0, :] * (1.0 - wh)[:, None] + x.data[..., i1, :] * wh[:, None]
-    out_d = rows[..., :, j0] * (1.0 - ww) + rows[..., :, j1] * ww
-    out = Tensor(out_d)
-
-    def bwd(g):
-        grows = np.zeros(x.shape[:-2] + (out_h, W), dtype=g.dtype)
-        np.add.at(grows, (Ellipsis, j0), g * (1.0 - ww))
-        np.add.at(grows, (Ellipsis, j1), g * ww)
-        gx = np.zeros_like(x.data)
-        grows_t = np.swapaxes(grows, -1, -2)
-        gx_t = np.swapaxes(gx, -1, -2)
-        np.add.at(gx_t, (Ellipsis, i0), grows_t * (1.0 - wh))
-        np.add.at(gx_t, (Ellipsis, i1), grows_t * wh)
-        return (np.swapaxes(gx_t, -1, -2),)
-
-    record([out], [x], bwd)
-    return out
+    return _separable(x, _interp_matrix(H, out_h, x.dtype),
+                      _interp_matrix(W, out_w, x.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ Conventions (fixed by the test contract):
     spatial values,
   - the inverse carries the 1/(H*W) factor,
   - the half-width spectrum keeps W' = W//2 + 1 columns; the inverse
-    enforces conjugate symmetry by construction (output is real by taking
-    the real part of the reconstructed full spectrum),
+    enforces conjugate symmetry by construction (each interior column
+    stands for itself and its conjugate mirror, and the output is the real
+    part),
   - phase of a zero-amplitude bin is 0, and so is its gradient.
 
-The FFT itself is an iterative radix-2 Cooley-Tukey along each axis, with a
-dense-DFT fallback for non power-of-two extents (desk-scale inputs, so the
-O(N^2) fallback is never the bottleneck). Everything runs internally in
-complex128; outputs are cast back to the input precision.
+The DFT is separable, computed as matrix products with the n-point DFT
+matrix F_n: the half spectrum is F_H @ x @ F_W[:, :W//2+1] and the inverse
+is Re(conj(F_H) @ (half * colw) @ conj(F_W[:W//2+1])) / (H*W), where colw
+counts each stored column's copies in the full spectrum. Each backward rule
+is the other product (its adjoint). `dft2_naive`, the defining double sum,
+checks them. Everything runs in complex128; outputs take the input dtype.
 """
 
 from __future__ import annotations
@@ -30,49 +33,28 @@ _INVERSE_NORM_FUDGE = 1.0
 
 
 # ---------------------------------------------------------------------------
-# raw complex transforms (plain ndarrays, complex128)
+# DFT matrices
 # ---------------------------------------------------------------------------
 
-def _bit_reverse_permutation(n):
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
+def _dft_matrix(n):
+    """Unnormalized DFT matrix F[j, k] = exp(-2*pi*i*j*k/n), complex128.
+
+    Entries on a quarter turn (4*j*k a multiple of n) are set to exactly
+    1, -i, -1 or i, so the DC and Nyquist bins of a real signal come out
+    exactly real at every size instead of carrying rounding noise that can
+    flip a negative bin's phase between +pi and -pi.
+    """
+    jk = np.outer(np.arange(n), np.arange(n)) % n
+    f = np.exp(-2j * np.pi * jk / n)
+    quarter = 4 * jk % n == 0
+    f[quarter] = np.array([1, -1j, -1, 1j])[4 * jk[quarter] // n]
+    return f
 
 
-def _fft_last_axis(a, inverse):
-    """FFT along the last axis of a complex128 array (unnormalized)."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    sign = 1.0 if inverse else -1.0
-    if n & (n - 1) == 0:
-        out = a[..., _bit_reverse_permutation(n)].copy()
-        m = 1
-        while m < n:
-            half = m
-            m *= 2
-            tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-            out = out.reshape(a.shape[:-1] + (n // m, m))
-            even = out[..., :half]
-            odd = out[..., half:] * tw
-            out = np.concatenate([even + odd, even - odd], axis=-1)
-            out = out.reshape(a.shape[:-1] + (n,))
-        return out
-    # dense DFT fallback for non power-of-two extents
-    k = np.arange(n)
-    mat = np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
-    return a @ mat
-
-
-def _fft2(a, inverse=False):
-    """Unnormalized 2-D FFT over the last two axes of a complex array."""
-    a = np.asarray(a, dtype=np.complex128)
-    a = _fft_last_axis(a, inverse)
-    a = np.swapaxes(_fft_last_axis(np.swapaxes(a, -1, -2), inverse), -1, -2)
-    return a
+def _dft_pair(H, W):
+    """F_H and the W//2 + 1 leading columns of F_W: the half spectrum of a
+    real (..., H, W) signal x is F_H @ x @ F_W[:, :W//2+1]."""
+    return _dft_matrix(H), _dft_matrix(W)[:, :W // 2 + 1]
 
 
 def dft2_naive(x):
@@ -119,37 +101,21 @@ class ComplexSpectrum:
         return self.real.shape
 
 
-def _half_to_full(re, im, W):
-    """Rebuild the full-width spectrum from the stored half by conjugate
-    symmetry (symmetry is imposed, not assumed)."""
-    H = re.shape[-2]
-    Wp = re.shape[-1]
-    full = np.zeros(re.shape[:-1] + (W,), dtype=np.complex128)
-    full[..., :Wp] = re + 1j * im
-    ui = (H - np.arange(H)) % H
-    for v in range(Wp, W):
-        full[..., v] = np.conj(full[..., ui, W - v])
-    return full
-
-
 def rfft2(x: Tensor) -> ComplexSpectrum:
-    """Unnormalized forward real 2-D FFT per channel. Requires even W."""
+    """Unnormalized forward real 2-D DFT per channel. Requires even W."""
     H, W = x.shape[-2], x.shape[-1]
     if H < 2 or W < 2:
         raise ShapeError(f"rfft2 needs H, W >= 2, got {H}x{W}")
     if W % 2 != 0:
         raise ShapeError(f"rfft2 requires even width, got W={W} "
                          "(half-spectrum bookkeeping assumes W' = W/2 + 1)")
-    Wp = W // 2 + 1
-    full = _fft2(x.data.astype(np.float64))
-    half = full[..., :Wp]
+    fh, fw = _dft_pair(H, W)
+    half = fh @ x.data @ fw
     re = Tensor(half.real.astype(x.dtype))
     im = Tensor(half.imag.astype(x.dtype))
 
     def bwd(gre, gim):
-        g = np.zeros(x.shape[:-1] + (W,), dtype=np.complex128)
-        g[..., :Wp] = gre + 1j * gim
-        gx = _fft2(g, inverse=True).real
+        gx = (fh.conj() @ (gre + 1j * gim) @ fw.conj().T).real
         return (gx.astype(x.dtype),)
 
     record([re, im], [x], bwd)
@@ -161,20 +127,16 @@ def irfft2(s: ComplexSpectrum) -> Tensor:
     W = s.source_width
     H = s.real.shape[-2]
     norm = _INVERSE_NORM_FUDGE / (H * W)
-    full = _half_to_full(s.real.data.astype(np.float64),
-                         s.imag.data.astype(np.float64), W)
-    y = _fft2(full, inverse=True).real * norm
+    fh, fw = _dft_pair(H, W)
+    colw = np.ones(W // 2 + 1)
+    colw[1:(W + 1) // 2] = 2.0  # interior columns appear twice in the full grid
+    half = (s.real.data + 1j * s.imag.data) * colw
+    y = (fh.conj() @ half @ fw.conj().T).real * norm
     out = Tensor(y.astype(s.real.dtype))
 
-    Wp = W // 2 + 1
-    colw = np.ones(Wp)
-    colw[1:W - Wp + 1] = 2.0  # interior columns appear twice in the full grid
-
     def bwd(g):
-        G = _fft2(g.astype(np.float64))[..., :Wp] * norm
-        gre = (G.real * colw).astype(s.real.dtype)
-        gim = (G.imag * colw).astype(s.imag.dtype)
-        return (gre, gim)
+        G = fh @ g @ fw * (colw * norm)
+        return (G.real.astype(s.real.dtype), G.imag.astype(s.imag.dtype))
 
     record([out], [s.real, s.imag], bwd)
     return out

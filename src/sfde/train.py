@@ -14,7 +14,8 @@ from . import losses, ops, retrieval
 from .autodiff import Tape, Tensor
 from .config import RunConfig
 from .data import DatasetManifest, load_image
-from .model import SFDEModel, load_checkpoint, save_checkpoint
+from .model import (CheckpointError, SFDEModel, load_checkpoint,
+                    save_checkpoint)
 
 
 # images per forward pass in `extract_embeddings`: past 16 the pass gets no
@@ -271,8 +272,13 @@ def extract_embeddings(model: SFDEModel, norm_stats, entries, input_size):
 
 def embed_from_checkpoint(ckpt_path, entries, out_path):
     model, header = load_checkpoint(ckpt_path)
-    norm_stats = (np.array(header["norm_mean"], dtype=np.float32),
-                  np.array(header["norm_std"], dtype=np.float32))
+    norm_stats = []
+    for key in ("norm_mean", "norm_std"):
+        try:
+            norm_stats.append(np.array(header[key], dtype=np.float32).reshape(3))
+        except (KeyError, TypeError, ValueError):
+            raise CheckpointError(
+                f"checkpoint header needs a 3-element {key}") from None
     records = extract_embeddings(model, norm_stats, entries,
                                  model.cfg.input_size)
     retrieval.save_embeddings(records, out_path)

@@ -248,22 +248,34 @@ def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("mystery_knob", 1), ("stage_channels", None), ("stage_channels", 5),
-    (None, None)])
+@pytest.mark.parametrize("key, value, message", [
+    ("mystery_knob", 1, "malformed model_config"),
+    ("stage_channels", None, "malformed model_config"),
+    ("stage_channels", 5, "malformed model_config"),
+    (None, None, "malformed model_config"),
+    ("dtype", "float16",
+     "malformed model_config in checkpoint (dtype must be float32 or float64"),
+    ("norm_mean", None, "checkpoint header needs a 3-element norm_mean"),
+    ("norm_std", [1.0, 1.0], "checkpoint header needs a 3-element norm_std")],
+    ids=["mystery_knob-1", "stage_channels-None", "stage_channels-5",
+         "None-None", "dtype-float16", "norm_mean-None", "norm_std-short"])
 def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
-                                                         capsys, key, value):
-    """An unknown key, a missing or non-list `stage_channels`, and a missing
-    `model_config` are each a CheckpointError, not a traceback."""
+                                                         capsys, key, value,
+                                                         message):
+    """An unknown key, a missing or non-list `stage_channels`, a missing
+    `model_config`, a `dtype` outside its choices and a missing or short
+    `norm_mean`/`norm_std` are each a CheckpointError, not a traceback."""
     blob = open(pipeline["ckpt"], "rb").read()
     (hlen,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + hlen].decode())
+    section = (header if key in ("norm_mean", "norm_std")
+               else header.get("model_config"))
     if key is None:
         del header["model_config"]
     elif value is None:
-        del header["model_config"][key]
+        del section[key]
     else:
-        header["model_config"][key] = value
+        section[key] = value
     text = json.dumps(header).encode()
     bad = str(tmp_path / "bad.ckpt")
     open(bad, "wb").write(blob[:8] + struct.pack("<I", len(text)) + text
@@ -273,7 +285,8 @@ def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
                      "--out", str(tmp_path / "e.bin")])
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "malformed model_config" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "e.bin").exists()
 
 
 def test_train_without_train_entries_is_validation_error(pipeline, tmp_path,
@@ -333,8 +346,12 @@ def test_bad_config_is_validation_error(pipeline, tmp_path):
      "line 2: batch_pairs must be at least 1, got '0'"),
     ("[train]\nsteps = ten\n", "line 2: steps must be of type int, got 'ten'"),
     ("[train]\nsteps = 3\n\nsteps = 4\n",
-     "line 4: key 'steps' is already set on line 2")],
-    ids=["steps-zero", "batch-pairs-zero", "steps-not-int", "repeated-key"])
+     "line 4: key 'steps' is already set on line 2"),
+    ("[model]\nheads = 0\n", "line 2: heads must be at least 1, got '0'"),
+    ("[loss]\nlambda_ce = -1\n",
+     "line 2: lambda_ce must be at least 0, got '-1'")],
+    ids=["steps-zero", "batch-pairs-zero", "steps-not-int", "repeated-key",
+         "heads-zero", "lambda-ce-negative"])
 def test_bad_config_value_names_line_and_key(pipeline, tmp_path, capsys,
                                              monkeypatch, text, message):
     """Rejected while parsing: no image is read and no checkpoint written."""

@@ -42,6 +42,8 @@ def test_model_config_validation():
         ModelConfig(**dict(TOY, input_size=64)).validate()  # 2x2 pyramid
     with pytest.raises(ops.ShapeError):
         ModelConfig(**dict(TOY, heads=3)).validate()  # C % heads
+    with pytest.raises(ops.ShapeError, match="heads must be at least 1"):
+        ModelConfig(**dict(TOY, heads=0)).validate()
     cfg = ModelConfig(**dict(TOY, input_size=64), use_lgsb=False)
     cfg.validate()  # 2x2 maps are fine without the pyramid
 

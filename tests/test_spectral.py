@@ -63,13 +63,22 @@ def test_odd_width_rejected():
         spectral.rfft2(Tensor(np.zeros((1, 4, 5))))
 
 
-@pytest.mark.parametrize("h,w", [(8, 8), (4, 6)])
+@pytest.mark.parametrize("h,w", [(8, 8), (4, 6), (5, 6), (7, 10)])
 def test_matches_naive_dft(rng, h, w):
     x = rng.normal(size=(2, h, w))
     full = spectral.dft2_naive(x)
     half = spectral.rfft2(Tensor(x))
     got = half.real.data + 1j * half.imag.data
     assert np.abs(got - full[..., :w // 2 + 1]).max() < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_dc_and_nyquist_bins_are_exactly_real(rng, n, dtype):
+    x = rng.normal(size=(3, 5, n, n)).astype(dtype)
+    s = spectral.rfft2(Tensor(x))
+    for u, v in [(0, 0), (0, n // 2), (n // 2, 0), (n // 2, n // 2)]:
+        assert np.all(s.imag.data[..., u, v] == 0), (u, v)
 
 
 def test_parseval_with_symmetry_counting(rng):
