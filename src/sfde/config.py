@@ -3,14 +3,15 @@
 Each section is a dataclass, and its fields are the section's keys:
 `[model]` is `ModelConfig` less `num_classes` (training sets it from the
 data), `[train]` is `TrainConfig` and `[loss]` is `LossWeights`. A key's type
-is the type of its default; a field's metadata may bound it (`min`) or list
-its values (`choices`). Unknown keys or sections, repeated keys and values
-that do not fit are errors that name the line. Parsing then re-serializing
-is idempotent.
+is the type of its default; a field's metadata may bound it (`min`, `max`)
+or list its values (`choices`). Floats must be finite. Unknown keys or
+sections, repeated keys and values that do not fit are errors that name the
+line. Parsing then re-serializing is idempotent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, make_dataclass
 
 from .losses import LossWeights
@@ -27,11 +28,12 @@ class TrainConfig:
     seed: int = 0
     steps: int = field(default=200, metadata={"min": 1})
     batch_pairs: int = field(default=8, metadata={"min": 1})
-    learning_rate: float = 0.001
-    lr_floor: float = 0.0
-    weight_decay: float = 0.05
-    warmup_fraction: float = 0.1
-    flip_probability: float = 0.5
+    learning_rate: float = field(default=0.001, metadata={"min": 0})
+    lr_floor: float = field(default=0.0, metadata={"min": 0})
+    weight_decay: float = field(default=0.05, metadata={"min": 0})
+    warmup_fraction: float = field(default=0.1, metadata={"min": 0, "max": 1})
+    flip_probability: float = field(default=0.5,
+                                    metadata={"min": 0, "max": 1})
 
 
 _SECTIONS = {
@@ -73,10 +75,14 @@ def _parse_value(f, raw):
                  else kind(raw))
     except ValueError:
         raise ValueError(f"must be of type {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError("must be a finite number")
     if "choices" in meta and value not in meta["choices"]:
         raise ValueError("must be " + " or ".join(meta["choices"]))
     if "min" in meta and value < meta["min"]:
         raise ValueError(f"must be at least {meta['min']}")
+    if "max" in meta and value > meta["max"]:
+        raise ValueError(f"must be at most {meta['max']}")
     return value
 
 

@@ -9,6 +9,7 @@ log-temperature, initialized at ln(0.07), shared by both contrastive terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,10 @@ class LossWeights:
     lambda_dsa: float = field(default=1.3, metadata={"min": 0})
 
     def validate(self):
-        if self.lambda_ce < 0 or self.lambda_infonce < 0 or self.lambda_dsa < 0:
-            raise LossError("loss weights must be non-negative")
+        weights = (self.lambda_ce, self.lambda_infonce, self.lambda_dsa)
+        if not all(0 <= w < math.inf for w in weights):
+            raise LossError(f"loss weights must be finite and non-negative, "
+                            f"got {weights}")
 
 
 def cross_entropy(logits, labels):

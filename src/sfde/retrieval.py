@@ -2,9 +2,9 @@
 embedding store.
 
 Store layout (binary, little-endian): magic "SFDE", u32 format version,
-u32 record count, u32 dim, then per record {u16 id length, id UTF-8, u8 view
-(0=drone, 1=satellite), u32 class_id, dim x float32}, and nothing after the
-last record.
+u32 record count, u32 dim, then per record {u16 id length, id UTF-8 without
+NUL, u8 view (0=drone, 1=satellite), u32 class_id, dim x float32}, and
+nothing after the last record.
 """
 
 from __future__ import annotations
@@ -137,7 +137,10 @@ def cosine_topk(query, gallery, k):
     scores = np.atleast_2d(block) @ vectors.T
     # a stable sort over id-ordered columns breaks score ties by id
     ranks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    order, scores = by_id[ranks], np.take_along_axis(scores, ranks, axis=1)
+    # gathering the scores first frees the unsorted ones before `order` is
+    # built: three (Q, G) arrays are live at once, not four
+    scores = np.take_along_axis(scores, ranks, axis=1)
+    order = by_id[ranks]
     if block.ndim == 2:
         return order, scores
     return [(gallery[i], s) for i, s in zip(order[0].tolist(), scores[0].tolist())]
@@ -218,6 +221,8 @@ def save_embeddings(records, path):
             raise StoreError(f"record {r.id!r} has dim {vec.shape}, expected {dim}")
         if not np.isfinite(vec).all():
             raise StoreNonFiniteError(f"record {r.id!r} vector is not finite")
+        if "\0" in r.id:
+            raise StoreError(f"record {r.id!r} id holds a NUL character")
         rid = r.id.encode()
         if len(rid) > 0xFFFF:
             raise StoreError(f"record id {r.id[:32]!r}... is {len(rid)} bytes; "
@@ -245,6 +250,8 @@ def load_embeddings(path):
     for i in range(count):
         (nlen,) = r.unpack("<H", f"record {i} id length")
         rid = r.take(nlen, f"record {i} id").decode()
+        if "\0" in rid:
+            raise StoreError(f"record {rid!r} id holds a NUL character")
         view_code, class_id = r.unpack("<BI", f"record {i} tags")
         if view_code not in CODE_VIEWS:
             raise StoreError(f"record {rid!r} has unknown view code {view_code}")

@@ -305,6 +305,22 @@ def test_train_without_train_entries_is_validation_error(pipeline, tmp_path,
     assert not out.exists()
 
 
+def test_eval_store_with_nul_in_id_is_validation_error(pipeline, tmp_path,
+                                                      capsys):
+    first = retrieval.load_embeddings(pipeline["query"])[0].id
+    blob = bytearray(open(pipeline["query"], "rb").read())
+    blob[19] = 0                                # the first id's second byte
+    bad = tmp_path / "nul.bin"
+    bad.write_bytes(bytes(blob))
+    out_dir = tmp_path / "r"
+    code = cli.main(["eval", "--query", str(bad), "--gallery",
+                     pipeline["gallery"], "--k", "1", "--out", str(out_dir)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert repr(first[0] + "\0" + first[2:]) in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_corrupt_store_is_validation_error(pipeline, tmp_path):
     bad = str(tmp_path / "bad.bin")
     blob = bytearray(open(pipeline["query"], "rb").read())
@@ -349,9 +365,23 @@ def test_bad_config_is_validation_error(pipeline, tmp_path):
      "line 4: key 'steps' is already set on line 2"),
     ("[model]\nheads = 0\n", "line 2: heads must be at least 1, got '0'"),
     ("[loss]\nlambda_ce = -1\n",
-     "line 2: lambda_ce must be at least 0, got '-1'")],
+     "line 2: lambda_ce must be at least 0, got '-1'"),
+    ("[loss]\nlambda_ce = nan\n",
+     "line 2: lambda_ce must be a finite number, got 'nan'"),
+    ("[train]\nlearning_rate = inf\n",
+     "line 2: learning_rate must be a finite number, got 'inf'"),
+    ("[train]\nlr_floor = nan\n",
+     "line 2: lr_floor must be a finite number, got 'nan'"),
+    ("[train]\nwarmup_fraction = 5\n",
+     "line 2: warmup_fraction must be at most 1, got '5'"),
+    ("[train]\nflip_probability = -2\n",
+     "line 2: flip_probability must be at least 0, got '-2'"),
+    ("[train]\nweight_decay = -1\n",
+     "line 2: weight_decay must be at least 0, got '-1'")],
     ids=["steps-zero", "batch-pairs-zero", "steps-not-int", "repeated-key",
-         "heads-zero", "lambda-ce-negative"])
+         "heads-zero", "lambda-ce-negative", "lambda-ce-nan",
+         "learning-rate-inf", "lr-floor-nan", "warmup-fraction-above-one",
+         "flip-probability-negative", "weight-decay-negative"])
 def test_bad_config_value_names_line_and_key(pipeline, tmp_path, capsys,
                                              monkeypatch, text, message):
     """Rejected while parsing: no image is read and no checkpoint written."""

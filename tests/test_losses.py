@@ -161,6 +161,13 @@ def test_total_loss_rejects_negative_weights():
         losses.total_loss(one, one, one, losses.LossWeights(-0.1, 1.0, 1.3))
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 1.0, 1.3), (0.1, np.inf, 1.3),
+                                     (0.1, 1.0, np.nan)])
+def test_loss_weights_reject_non_finite(weights):
+    with pytest.raises(losses.LossError, match="finite"):
+        losses.LossWeights(*weights).validate()
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------

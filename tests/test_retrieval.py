@@ -2,6 +2,7 @@
 
 import csv
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ def test_evaluate_empty_queries_gives_zero_metrics_and_header_only_csvs(
 
 def test_reports_quote_ids_that_need_it(rng, tmp_path):
     names = ["train/0/drone/a,b.pgm", 'say "hi".pgm', "two\nlines.pgm",
-             "cr\r.pgm", "plain.pgm"]
+             "cr\r.pgm", "plain.pgm", '\u00fc/\u6771"\u4eac",x.pgm']
     queries = [EmbeddingRecord(f"q/{n}", "drone", i % 2,
                                unit(rng.normal(size=4)))
                for i, n in enumerate(names)]
@@ -269,13 +270,90 @@ def test_reports_quote_ids_that_need_it(rng, tmp_path):
     rank_path, _, hist_path = training.write_reports(
         report, queries, gallery, str(tmp_path))
     for path, gcol in ((rank_path, 2), (hist_path, 1)):
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + len(queries) * len(gallery)
         assert all(len(row) == 4 for row in rows)
         assert {row[0] for row in rows[1:]} == {q.id for q in queries}
         assert {row[gcol] for row in rows[1:]} == {g.id for g in gallery}
-        assert '"q/plain.pgm"' not in open(path, newline="").read()
+        assert b'"q/plain.pgm"' not in open(path, "rb").read()
+
+
+def test_reports_write_ids_as_utf8(rng, tmp_path):
+    name = "\u00fc/\u6771\u4eac.pgm"
+    queries = [EmbeddingRecord(f"q/{name}", "drone", 0, unit([1, 0]))]
+    gallery = [EmbeddingRecord(f"g/{name}", "satellite", 0, unit([1, 0])),
+               EmbeddingRecord("g/plain.pgm", "satellite", 1, unit([0, 1]))]
+    report = retrieval.evaluate(queries, gallery, [1])
+    rank_path, _, hist_path = training.write_reports(
+        report, queries, gallery, str(tmp_path))
+    q, g = f"q/{name}".encode("utf-8"), f"g/{name}".encode("utf-8")
+    assert open(rank_path, "rb").read() == (
+        b"query_id,rank,gallery_id,score\n"
+        + q + b",1," + g + b",1.00000000\n"
+        + q + b",2,g/plain.pgm,0.00000000\n")
+    assert open(hist_path, "rb").read() == (
+        b"query_id,gallery_id,pair,cosine_distance\n"
+        + q + b"," + g + b",positive,0.00000000\n"
+        + q + b",g/plain.pgm,negative,1.00000000\n")
+
+
+def _score_report(scores):
+    """A report whose query `q{i}` ranks gallery items g0, g1, ... with the
+    scores of row i, in that order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    nq, ng = scores.shape
+    return retrieval.RetrievalReport(
+        query_ids=[f"q{i:04d}" for i in range(nq)],
+        gallery_ids=[f"g{j:04d}" for j in range(ng)],
+        order=np.tile(np.arange(ng), (nq, 1)), scores=scores,
+        recall_at={1: 0.0}, mean_ap=0.0)
+
+
+def test_report_scores_match_python_formatting(tmp_path, monkeypatch):
+    """Every score and distance field is `f"{v:.8f}"`, on the values where
+    fixed-point digits are easiest to get wrong."""
+    grid = np.linspace(-1.2, 1.2, 240_001)
+    ties = np.arange(-614, 615) / 512           # s * 1e8 ends in .5 exactly
+    m = np.concatenate([np.arange(5), np.random.default_rng(0).integers(
+        0, 120_000_000, size=2000)])
+    edge = (m + 0.5) / 1e8
+    near = [edge + d for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)]
+    near += [np.nextafter(edge, lim) for lim in (-np.inf, np.inf)]
+    special = [0.0, -0.0, 1e-10, -1e-10, 1.0, -1.0, 2.0, 9.999999995, 12.5,
+               -37.0, np.nan, np.inf, -np.inf]
+    values = np.concatenate([grid, ties, *near, -np.concatenate(near),
+                             special])
+    values = np.concatenate([values, np.zeros(-len(values) % 1000)])
+
+    real, fallback = training._byte_table, []
+
+    def spy(texts, width=1):
+        if width == 11:                         # the formatter's fallback
+            fallback.extend(texts)
+        return real(texts, width)
+
+    monkeypatch.setattr(training, "_byte_table", spy)
+    report = _score_report(values.reshape(-1, 1000))
+    rank_path, _, hist_path = training.write_reports(
+        report, [], [], str(tmp_path))
+    with open(rank_path, "rb") as fh:
+        rank_rows = fh.read().decode().splitlines()[1:]
+    with open(hist_path, "rb") as fh:
+        hist_rows = fh.read().decode().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rank_rows] == \
+        [f"{v:.8f}" for v in values.tolist()]
+    assert [r.rsplit(",", 1)[1] for r in hist_rows] == \
+        [f"{1.0 - v:.8f}" for v in values.tolist()]
+    assert {"12.50000000", "-37.00000000", "nan", f"{1 / 512:.8f}"} <= \
+        set(fallback)
+
+
+def test_reports_refuse_nul_in_ids(tmp_path):
+    report = _score_report([[0.5]])
+    report.gallery_ids = ["g\0"]
+    with pytest.raises(ValueError, match="NUL"):
+        training.write_reports(report, [], [], str(tmp_path))
 
 
 @pytest.mark.parametrize("side", ["query", "gallery"])
@@ -393,7 +471,7 @@ def test_store_rejects_non_finite_vectors_on_load(tmp_path, bad):
 
 @pytest.mark.parametrize("field, value", [
     ("class_id", -1), ("class_id", 2 ** 32), ("id", "\u00e9" * 32768),
-    ("view", "aerial")])
+    ("view", "aerial"), ("id", "a\0b")])
 def test_store_rejects_fields_out_of_range(tmp_path, field, value):
     rec = EmbeddingRecord("a", "drone", 0, unit([1, 0]))
     setattr(rec, field, value)
@@ -401,6 +479,16 @@ def test_store_rejects_fields_out_of_range(tmp_path, field, value):
     with pytest.raises(retrieval.StoreError):
         retrieval.save_embeddings([rec], path)
     assert not os.path.exists(path)
+
+
+def test_store_load_refuses_nul_in_id(tmp_path):
+    blob = (retrieval.MAGIC + struct.pack("<IIIH", retrieval.VERSION, 1, 2, 3)
+            + b"a\0b" + struct.pack("<BI", 0, 0)
+            + unit([1, 0]).astype("<f4").tobytes())
+    path = tmp_path / "store.bin"
+    path.write_bytes(blob)
+    with pytest.raises(retrieval.StoreError, match=r"record 'a\\x00b'"):
+        retrieval.load_embeddings(str(path))
 
 
 def test_store_keeps_fields_at_their_bounds(tmp_path):
