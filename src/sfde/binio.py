@@ -6,11 +6,13 @@ import struct
 
 
 class Reader:
-    """Reads one blob front to back. A read past its end raises the
-    caller's `truncated` error class."""
+    """Reads one blob front to back. Malformed contents raise the caller's
+    `error` class; a read past the end raises `truncated`, by default the
+    same class."""
 
-    def __init__(self, blob, truncated):
-        self.blob, self.off, self.truncated = blob, 0, truncated
+    def __init__(self, blob, error, truncated=None):
+        self.blob, self.off = blob, 0
+        self.error, self.truncated = error, truncated or error
 
     def take(self, n, what):
         start, self.off = self.off, self.off + n
@@ -22,11 +24,21 @@ class Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def end(self, error):
-        """Raise `error` unless every byte has been read."""
+    def text(self, n, what):
+        """The next `n` bytes decoded as UTF-8."""
+        start = self.off
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise self.error(f"{what} is not valid UTF-8 (byte "
+                             f"{e.object[e.start]:#04x} at byte "
+                             f"{start + e.start})") from None
+
+    def end(self):
+        """Raise the error class unless every byte has been read."""
         if self.off < len(self.blob):
-            raise error(f"{len(self.blob) - self.off} trailing bytes at byte "
-                        f"{self.off}")
+            raise self.error(f"{len(self.blob) - self.off} trailing bytes at "
+                             f"byte {self.off}")
 
 
 def write_atomic(path, blob):

@@ -184,7 +184,13 @@ def load_checkpoint(path, rng=None):
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (hlen,) = r.unpack("<I", "header length")
-    header = json.loads(r.take(hlen, "header").decode())
+    try:
+        header = json.loads(r.text(hlen, "header"))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"malformed checkpoint header ({e})") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("malformed checkpoint header (not a JSON "
+                              "object)")
     try:
         cfg_d = dict(header["model_config"])
         cfg_d["stage_channels"] = tuple(cfg_d["stage_channels"])
@@ -204,7 +210,7 @@ def load_checkpoint(path, rng=None):
     arrays = {}
     for i in range(count):
         (nlen,) = r.unpack("<H", f"array {i} name length")
-        name = r.take(nlen, f"array {i} name").decode()
+        name = r.text(nlen, f"array {i} name")
         code, ndim = r.unpack("<BB", f"array {name!r} dtype")
         if code not in CKPT_DTYPES:
             raise CheckpointError(f"array {name!r} has unknown dtype code "
@@ -213,7 +219,7 @@ def load_checkpoint(path, rng=None):
         dt = np.dtype(CKPT_DTYPES[code])
         data = r.take(int(np.prod(dims)) * dt.itemsize, f"array {name!r}")
         arrays[name] = np.frombuffer(data, dtype=dt).reshape(dims)
-    r.end(CheckpointError)
+    r.end()
 
     params = dict(model.named_parameters())
     buffers = dict(model.named_buffers())

@@ -240,7 +240,7 @@ def save_embeddings(records, path):
 
 def load_embeddings(path):
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), StoreTruncatedError)
+        r = Reader(fh.read(), StoreError, StoreTruncatedError)
     if r.take(4, "magic") != MAGIC:
         raise StoreMagicError(f"bad store magic in {path}")
     version, count, dim = r.unpack("<III", "header")
@@ -249,7 +249,7 @@ def load_embeddings(path):
     records = []
     for i in range(count):
         (nlen,) = r.unpack("<H", f"record {i} id length")
-        rid = r.take(nlen, f"record {i} id").decode()
+        rid = r.text(nlen, f"record {i} id")
         if "\0" in rid:
             raise StoreError(f"record {rid!r} id holds a NUL character")
         view_code, class_id = r.unpack("<BI", f"record {i} tags")
@@ -264,5 +264,5 @@ def load_embeddings(path):
                 f"record {rid!r} vector norm {norm:.6f} is not unit")
         records.append(EmbeddingRecord(rid, CODE_VIEWS[view_code], class_id,
                                        np.array(vec)))
-    r.end(StoreError)
+    r.end()
     return records

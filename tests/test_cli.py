@@ -321,6 +321,72 @@ def test_eval_store_with_nul_in_id_is_validation_error(pipeline, tmp_path,
     assert not out_dir.exists()
 
 
+def test_eval_store_with_non_utf8_id_is_validation_error(pipeline, tmp_path,
+                                                        capsys):
+    """A hand-built one-record store whose id is the byte 0xff."""
+    vec = np.zeros(8, dtype="<f4")
+    vec[0] = 1.0
+    blob = (retrieval.MAGIC + struct.pack("<III", retrieval.VERSION, 1, 8)
+            + struct.pack("<H", 1) + b"\xff" + struct.pack("<BI", 0, 0)
+            + vec.tobytes())
+    bad = tmp_path / "ff.bin"
+    bad.write_bytes(blob)
+    out_dir = tmp_path / "r"
+    code = cli.main(["eval", "--query", str(bad), "--gallery",
+                     pipeline["gallery"], "--k", "1", "--out", str(out_dir)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "record 0 id is not valid UTF-8 (byte 0xff at byte 18)" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def _embed_with(pipeline, tmp_path, blob):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    out = tmp_path / "e.bin"
+    code = cli.main(["embed", "--ckpt", str(bad), "--manifest",
+                     pipeline["manifest"], "--split", "train", "--view",
+                     "drone", "--out", str(out)])
+    assert not out.exists()
+    return code
+
+
+def test_checkpoint_with_non_utf8_array_name_is_validation_error(
+        pipeline, tmp_path, capsys):
+    """The pipeline checkpoint with the first byte of its first array name
+    replaced by 0xff."""
+    blob = bytearray(open(pipeline["ckpt"], "rb").read())
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    name_at = 12 + hlen + 4 + 2              # header, array count, name length
+    blob[name_at] = 0xFF
+    code = _embed_with(pipeline, tmp_path, bytes(blob))
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert (f"array 0 name is not valid UTF-8 (byte 0xff at byte {name_at})"
+            in err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"{not json", "malformed checkpoint header (Expecting property name"),
+    (b"[1, 2]", "malformed checkpoint header (not a JSON object)"),
+    (b"\xff", "header is not valid UTF-8")],
+    ids=["not-json", "json-list", "not-utf8"])
+def test_malformed_checkpoint_header_is_validation_error(pipeline, tmp_path,
+                                                         capsys, header,
+                                                         message):
+    """The pipeline checkpoint with its JSON header replaced."""
+    blob = open(pipeline["ckpt"], "rb").read()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    code = _embed_with(pipeline, tmp_path,
+                       blob[:8] + struct.pack("<I", len(header)) + header
+                       + blob[12 + hlen:])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_corrupt_store_is_validation_error(pipeline, tmp_path):
     bad = str(tmp_path / "bad.bin")
     blob = bytearray(open(pipeline["query"], "rb").read())

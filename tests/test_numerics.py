@@ -1,5 +1,7 @@
 """Kernel contracts: shapes, worked values, and elementary identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,68 @@ def test_gelu_values():
     from scipy.stats import norm
     assert y[1] == pytest.approx(1.0 * norm.cdf(1.0), abs=1e-7)
     assert y[2] == pytest.approx(-1.0 * norm.cdf(-1.0), abs=1e-7)
+
+
+def _ulps(got, z):
+    """Distance of `got` from `math.erf(z)` in units of the reference's
+    last place."""
+    ref = np.array([math.erf(v) for v in z])
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+def test_erf_dense_grid_matches_math_erf():
+    z = np.linspace(-7.0, 7.0, 140_001)
+    z = np.concatenate([z, np.geomspace(1e-300, 1e-3, 1000)])
+    assert _ulps(ops._erf(z), z).max() <= 2
+
+
+def test_erf_float32_in_float32_out_rounded_once(rng):
+    z = (rng.standard_normal(10_000) * 2).astype(np.float32)
+    y = ops._erf(z)
+    assert y.dtype == np.float32 and y.shape == z.shape
+    assert np.array_equal(y, ops._erf(z.astype(np.float64)).astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_is_exactly_odd(dtype):
+    z = np.linspace(0.0, 8.0, 40_001, dtype=dtype)
+    assert np.array_equal(ops._erf(-z), -ops._erf(z))
+
+
+def test_erf_zeros_infinities_and_nan():
+    y = ops._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert y[0] == 0.0 and not np.signbit(y[0])
+    assert y[1] == 0.0 and np.signbit(y[1])
+    assert y[2] == 1.0 and y[3] == -1.0
+    assert np.isnan(y[4])
+
+
+def test_erf_is_exactly_one_from_six():
+    z = np.array([6.0, 6.5, 7.0, 1e10, 1e300, np.finfo(np.float64).max])
+    assert np.all(ops._erf(z) == 1.0) and np.all(ops._erf(-z) == -1.0)
+    z32 = np.array([6.0, 1e30, np.finfo(np.float32).max], dtype=np.float32)
+    assert np.all(ops._erf(z32) == 1.0)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_erf_is_continuous_across_the_core_boundary(side):
+    """|z| = 1 joins the core polynomial and the tail form: the 50 floats on
+    each side match `math.erf` and step by no more than the slope allows."""
+    below = 1.0 - np.arange(50, 0, -1) * np.spacing(0.5)
+    above = 1.0 + np.arange(51) * np.spacing(1.0)
+    z = side * np.concatenate([below, above])
+    y = ops._erf(z)
+    assert _ulps(y, z).max() <= 2
+    assert np.all(side * np.diff(y) >= -2 * np.spacing(1.0))
+    assert np.abs(np.diff(y)).max() <= 3 * np.spacing(1.0)
+
+
+def test_erf_float32_agrees_with_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20261018)
+    z = np.concatenate([rng.standard_normal(500_000),
+                        rng.uniform(-7.0, 7.0, 500_000)]).astype(np.float32)
+    assert np.array_equal(ops._erf(z), special.erf(z))
 
 
 def test_relu_and_softplus(rng):

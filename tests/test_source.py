@@ -3,6 +3,8 @@
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import sfde
 
@@ -44,3 +46,16 @@ def test_no_unused_imports_in_package():
         if unused:
             found[os.path.basename(path)] = unused
     assert not found
+
+
+def test_entry_points_do_not_import_scipy():
+    """The runtime needs only numpy: importing the command line, training
+    and the self-test in a fresh interpreter loads no scipy module."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import sfde.cli, sfde.train, sfde.selftest; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", probe, os.path.dirname(SRC)],
+                       capture_output=True, text=True, timeout=120,
+                       check=True)
+    assert r.stdout.strip() == "[]"
