@@ -3,7 +3,7 @@
 A `Tape` records every differentiable kernel invocation that happens while it
 is active (entered as a context manager). Calling `Tape.backward(loss)` replays
 the records once in strict reverse execution order and accumulates gradients
-into every trainable `Parameter` that participated.
+into every `Parameter` that participated.
 
 Kernels themselves live in `sfde.ops`; this module only provides the value
 containers and the replay machinery.
@@ -13,18 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Extra invariant checking (finiteness after every kernel). Enabled by the
-# test suite; off by default because it costs a pass over every output.
-DEBUG_CHECKS = False
-
 
 class TapeError(RuntimeError):
     """Raised on tape misuse (double replay, backward on a non-scalar...)."""
 
 
 class Tensor:
-    """A dense real array. Row-major, float32 by default, float64 for
-    gradient checking."""
+    """A dense real array. Floating data keeps its dtype (float32 in the
+    model, float64 for gradient checks); any other data becomes float32."""
 
     __slots__ = ("data",)
 
@@ -46,31 +42,24 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
+        return (f"{type(self).__name__}(shape={self.data.shape}, "
+                f"dtype={self.data.dtype})")
 
 
 class Parameter(Tensor):
     """A learnable tensor with a gradient slot of identical shape."""
 
-    __slots__ = ("grad", "trainable", "name", "clamp_range", "weight_decay")
+    __slots__ = ("grad", "clamp_range", "weight_decay")
 
-    def __init__(self, data, name="", trainable=True, dtype=None):
+    def __init__(self, data, dtype=None):
         super().__init__(data, dtype=dtype)
         self.grad = np.zeros_like(self.data)
-        self.trainable = trainable
-        self.name = name
         self.clamp_range = None   # optional (lo, hi) applied after each step
         self.weight_decay = True  # AdamW decoupled decay applies to this param
 
     def zero_grad(self):
         self.grad[...] = 0
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 _TAPES: list["Tape"] = []
@@ -101,8 +90,9 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor):
-        """Populate gradients of every trainable Parameter reachable from
-        `loss`. The gradient of the loss w.r.t. itself is 1."""
+        """Add the gradient of `loss` into `grad` of every Parameter that
+        influenced it, and keep every taped tensor's gradient for `grad`.
+        The gradient of the loss w.r.t. itself is 1."""
         if self._consumed:
             raise TapeError("tape already replayed; re-run the forward pass")
         if np.size(loss.data) != 1:
@@ -125,7 +115,7 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = np.array(g, copy=True)
-                if isinstance(t, Parameter) and t.trainable:
+                if isinstance(t, Parameter):
                     t.grad += g.astype(t.grad.dtype, copy=False)
         self._grads = grads
 
@@ -143,10 +133,6 @@ def active_tape():
 
 def record(outputs, inputs, backward_fn):
     """Register one executed op with the active tape (no-op when untaped)."""
-    if DEBUG_CHECKS:
-        for o in outputs:
-            if not np.all(np.isfinite(o.data)):
-                raise FloatingPointError("non-finite values in kernel output")
     tape = active_tape()
     if tape is not None:
         tape._records.append((tuple(outputs), tuple(inputs), backward_fn))

@@ -266,15 +266,15 @@ def _perturb(img, rng, max_shift, brightness=0.15):
 
 
 def generate_synthetic_dataset(root, num_classes=8, drone_per_class=2,
-                               satellite_per_class=1, size=128, seed=0,
-                               split="train"):
-    """Write a paired-view PPM dataset under `root` and return its manifest."""
+                               satellite_per_class=1, size=128, seed=0):
+    """Write a paired-view PPM dataset under `root`/train and return its
+    manifest."""
     rng = np.random.default_rng(seed)
     for cid in range(num_classes):
         base = _class_pattern(rng, size)
         for view, count in (("drone", drone_per_class),
                             ("satellite", satellite_per_class)):
-            vdir = os.path.join(root, split, str(cid), view)
+            vdir = os.path.join(root, "train", str(cid), view)
             os.makedirs(vdir, exist_ok=True)
             shift = size // 10 if view == "drone" else size // 20
             for k in range(count):

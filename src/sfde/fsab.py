@@ -20,6 +20,7 @@ from .autodiff import Parameter, Tensor
 from .layers import BatchNorm, Conv2d, Module, MultiHeadSelfAttention
 
 ATTENTION_TOKEN_BUDGET = 4096
+DROPOUT = 0.1  # after each fusion layer, train mode only
 
 
 def coordinate_grid(h, wp, dtype=np.float32):
@@ -49,9 +50,8 @@ class FrequencyInternals:
 
 
 class FrequencyStabilityBranch(Module):
-    def __init__(self, c, rng, heads=4, dtype=np.float32, dropout=0.1):
+    def __init__(self, c, rng, heads=4, dtype=np.float32):
         super().__init__()
-        self.c = c
         cb = max(1, c // 4)  # squeeze-excitation bottleneck ratio 4
 
         # channel gate: GAP -> 1x1 -> ReLU -> 1x1 -> sigmoid
@@ -86,8 +86,6 @@ class FrequencyStabilityBranch(Module):
         self.fuse_norms = [BatchNorm(2 * c, dtype=dtype),
                            BatchNorm(c, dtype=dtype),
                            BatchNorm(c, dtype=dtype)]
-        self.dropout_rate = dropout
-        self.dtype = dtype
 
         # test hooks
         self.pin_gates = False
@@ -95,7 +93,7 @@ class FrequencyStabilityBranch(Module):
 
     # -- stages -------------------------------------------------------------
 
-    def amplitude_gating(self, amp, training=False):
+    def amplitude_gating(self, amp):
         if np.any(amp.data < 0):
             raise ops.ShapeError("amplitude gating requires non-negative input")
         n, c = amp.shape[0], amp.shape[1]
@@ -153,7 +151,7 @@ class FrequencyStabilityBranch(Module):
         amp = spectral.amplitude(spec)
         phi = spectral.phase(spec)
 
-        gated_amp, gates = self.amplitude_gating(amp, training)
+        gated_amp, gates = self.amplitude_gating(amp)
 
         if self.disable_attention:
             fused_amp = gated_amp
@@ -167,7 +165,7 @@ class FrequencyStabilityBranch(Module):
         out = ops.concat(paths, axis=-3)
         for conv, norm in zip(self.fuse_convs, self.fuse_norms):
             out = ops.gelu(norm(conv(out), training))
-            out = ops.dropout(out, self.dropout_rate if training else 0.0, rng)
+            out = ops.dropout(out, DROPOUT if training else 0.0, rng)
 
         if internals is not None:
             internals.amplitude = amp

@@ -17,6 +17,8 @@ from . import ops
 from .autodiff import Tensor
 from .layers import BatchNorm, Linear, Module
 
+DROPOUT = 0.5  # before the classifier, train mode only
+
 
 @dataclass
 class GlobalDescriptor:
@@ -25,15 +27,13 @@ class GlobalDescriptor:
 
 
 class GlobalSemanticBranch(Module):
-    def __init__(self, c, embed_dim, num_classes, rng, dtype=np.float32,
-                 dropout=0.5):
+    def __init__(self, c, embed_dim, num_classes, rng, dtype=np.float32):
         super().__init__()
         self.proj = Linear(c, embed_dim, rng, dtype=dtype)
         self.norm = BatchNorm(embed_dim, dtype=dtype)
         self.classifier = (Linear(embed_dim, num_classes, rng, init="kaiming",
                                   dtype=dtype)
                            if num_classes else None)
-        self.dropout_rate = dropout
 
     def __call__(self, f, training=False, rng=None) -> GlobalDescriptor:
         """f: (N, C, H, W) feature maps."""
@@ -41,6 +41,6 @@ class GlobalSemanticBranch(Module):
         emb = self.norm(self.proj(pooled), training)
         logits = None
         if self.classifier is not None:
-            h = ops.dropout(emb, self.dropout_rate if training else 0.0, rng)
+            h = ops.dropout(emb, DROPOUT if training else 0.0, rng)
             logits = self.classifier(h)
         return GlobalDescriptor(embedding=emb, logits=logits)

@@ -81,15 +81,10 @@ class Module:
 
 class Conv2d(Module):
     def __init__(self, cin, cout, k, rng, stride=1, padding=0, dilation=1,
-                 groups=1, bias=True, init="trunc", dtype=np.float32):
+                 groups=1, bias=True, dtype=np.float32):
         super().__init__()
-        shape = (cout, cin // groups, k, k)
-        fan_in = (cin // groups) * k * k
-        if init == "kaiming":
-            w = kaiming_normal(rng, shape, fan_in, dtype)
-        else:
-            w = trunc_normal(rng, shape, 0.02, dtype)
-        self.weight = Parameter(w)
+        self.weight = Parameter(
+            trunc_normal(rng, (cout, cin // groups, k, k), 0.02, dtype))
         self.bias = Parameter(np.zeros(cout, dtype=dtype)) if bias else None
         self.stride, self.padding, self.dilation, self.groups = stride, padding, dilation, groups
 
@@ -114,9 +109,10 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Batch normalization for (N,C) or (N,C,H,W), epsilon 1e-5, momentum 0.1."""
+    """Batch normalization for (N,C) or (N,C,H,W) with `ops.batch_norm`'s
+    epsilon 1e-5 and momentum 0.1."""
 
-    def __init__(self, c, dtype=np.float32, eps=1e-5, momentum=0.1):
+    def __init__(self, c, dtype=np.float32):
         super().__init__()
         self.gamma = Parameter(np.ones(c, dtype=dtype))
         self.gamma.weight_decay = False
@@ -124,12 +120,10 @@ class BatchNorm(Module):
         self.beta.weight_decay = False
         self.register_buffer("running_mean", np.zeros(c, dtype=np.float64))
         self.register_buffer("running_var", np.ones(c, dtype=np.float64))
-        self.eps, self.momentum = eps, momentum
 
     def __call__(self, x, training):
         return ops.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, training,
-                              momentum=self.momentum, eps=self.eps)
+                              self.running_var, training)
 
 
 class MultiHeadSelfAttention(Module):

@@ -22,7 +22,6 @@ class LocalGeometricBranch(Module):
         if c % 4 != 0:
             raise ops.ShapeError(f"branch needs channels divisible by 4, got {c}")
         c4 = c // 4
-        self.c, self.c4 = c, c4
 
         # three parallel 3x3 convs, dilation 1/2/3, padding keeps H x W
         self.scale_convs = [

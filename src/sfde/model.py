@@ -174,8 +174,9 @@ def save_checkpoint(path, model: SFDEModel, meta: dict):
     write_atomic(path, blob)
 
 
-def load_checkpoint(path, rng=None):
-    """Rebuild a model (fresh RNG init, then overwritten) plus the header."""
+def load_checkpoint(path):
+    """Rebuild a model (initialised from `default_rng(0)`, then overwritten)
+    plus the header."""
     with open(path, "rb") as fh:
         r = Reader(fh.read(), CheckpointError)
     if r.take(4, "magic") != CKPT_MAGIC:
@@ -204,7 +205,7 @@ def load_checkpoint(path, rng=None):
             raise CheckpointError(
                 f"malformed model_config in checkpoint ({f.name} must be "
                 f"{' or '.join(choices)}, got {getattr(cfg, f.name)!r})")
-    model = SFDEModel(cfg, rng or np.random.default_rng(0))
+    model = SFDEModel(cfg, np.random.default_rng(0))
 
     (count,) = r.unpack("<I", "array count")
     arrays = {}

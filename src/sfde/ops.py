@@ -25,13 +25,6 @@ class ShapeError(ValueError):
     """Shape/precondition violation with a diagnostic message."""
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _unbroadcast(g, shape):
     """Reduce a broadcasted gradient back to `shape`."""
     while g.ndim > len(shape):
@@ -47,7 +40,6 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     out = Tensor(a.data + b.data)
     record([out], [a, b],
            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
@@ -55,7 +47,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     out = Tensor(a.data * b.data)
     record([out], [a, b],
            lambda g: (_unbroadcast(g * b.data, a.shape),
@@ -107,10 +98,8 @@ def relu(a):
 
 
 def sigmoid(a):
-    y = np.where(a.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    out = Tensor(y)
+    e = np.exp(-np.abs(a.data))
+    out = Tensor(np.where(a.data >= 0, 1.0, e) / (1.0 + e))
     record([out], [a], lambda g: (g * out.data * (1.0 - out.data),))
     return out
 

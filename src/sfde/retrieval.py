@@ -116,15 +116,15 @@ def _gem_np(feature_map, p):
 # ranking and metrics
 # ---------------------------------------------------------------------------
 
-def cosine_topk(query, gallery, k):
-    """Top-k gallery records by dot product (all vectors unit-norm).
+def cosine_topk(queries, gallery, k):
+    """Top-k gallery records by dot product for an (Nq, D) block of query
+    vectors (all vectors unit-norm).
 
     Exact brute-force search: the scores are one float64 matrix product
     `Q @ G.T`, in which every product of float32 values is exact, and each
     row is ordered by descending score, ties by ascending id, so rankings
-    are reproducible. It holds O(Q x G) memory. A 1-D `query` gives a list
-    of (record, score); an (Nq, D) block gives `(order, scores)`, two
-    (Nq, k) arrays of gallery indices and their scores.
+    are reproducible. It holds O(Q x G) memory. Returns `(order, scores)`,
+    two (Nq, k) arrays of gallery indices and their scores.
     """
     if not gallery:
         raise ValueError("empty gallery")
@@ -133,17 +133,13 @@ def cosine_topk(query, gallery, k):
     by_id = np.array(sorted(range(len(gallery)), key=lambda i: gallery[i].id),
                      dtype=np.intp)
     vectors = np.array([gallery[i].vector for i in by_id], dtype=np.float64)
-    block = np.asarray(query, dtype=np.float64)
-    scores = np.atleast_2d(block) @ vectors.T
+    scores = np.asarray(queries, dtype=np.float64) @ vectors.T
     # a stable sort over id-ordered columns breaks score ties by id
     ranks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
     # gathering the scores first frees the unsorted ones before `order` is
     # built: three (Q, G) arrays are live at once, not four
     scores = np.take_along_axis(scores, ranks, axis=1)
-    order = by_id[ranks]
-    if block.ndim == 2:
-        return order, scores
-    return [(gallery[i], s) for i, s in zip(order[0].tolist(), scores[0].tolist())]
+    return by_id[ranks], scores
 
 
 def average_precision(ranked_ids, relevant):
@@ -239,10 +235,20 @@ def save_embeddings(records, path):
 
 
 def load_embeddings(path):
+    """The records of the store at `path`. Every format or numeric error in
+    the store names `path`."""
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), StoreError, StoreTruncatedError)
+        blob = fh.read()
+    try:
+        return _parse_store(blob)
+    except (StoreError, StoreNonFiniteError) as e:
+        raise type(e)(f"store {path}: {e}") from None
+
+
+def _parse_store(blob):
+    r = Reader(blob, StoreError, StoreTruncatedError)
     if r.take(4, "magic") != MAGIC:
-        raise StoreMagicError(f"bad store magic in {path}")
+        raise StoreMagicError("bad store magic")
     version, count, dim = r.unpack("<III", "header")
     if version != VERSION:
         raise StoreVersionError(f"unsupported store version {version}")

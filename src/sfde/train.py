@@ -40,13 +40,14 @@ def cosine_warmup_lr(step, total_steps, peak, floor=0.0, warmup_fraction=0.1):
 
 
 class AdamW:
-    """Adaptive moment estimation with decoupled weight decay."""
+    """Adaptive moment estimation with decoupled weight decay. The moment
+    decays and epsilon are the ones `model.OPTIMIZER_NOTE` states."""
 
-    def __init__(self, params, weight_decay=0.05, betas=(0.9, 0.999), eps=1e-8):
-        self.params = [p for p in params if p.trainable]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, weight_decay=0.05):
+        self.params = list(params)
         self.weight_decay = weight_decay
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -89,13 +90,12 @@ class ImageCache:
         return self._cache[entry.id]
 
 
-def compute_norm_stats(manifest: DatasetManifest, cache: ImageCache,
-                       split="train"):
+def compute_norm_stats(manifest: DatasetManifest, cache: ImageCache):
     """Per-channel mean/std over the training split (after resize)."""
     acc = np.zeros(3)
     acc2 = np.zeros(3)
     count = 0
-    for e in manifest.subset(split):
+    for e in manifest.subset("train"):
         img = cache.get(e)
         acc += img.mean(axis=(1, 2))
         acc2 += (img ** 2).mean(axis=(1, 2))
@@ -367,7 +367,7 @@ def _csv_rows(*columns):
 _REPORT_BLOCK_ROWS = 1 << 15
 
 
-def write_reports(report, queries, gallery, out_dir, prefix="retrieval"):
+def write_reports(report, queries, gallery, out_dir):
     """Ranking CSV, summary CSV, and the distances CSV, which repeats every
     ranked (query, gallery) pair with its positive/negative label and its
     cosine distance `1 - score`. Query blocks are written in ascending
@@ -378,9 +378,9 @@ def write_reports(report, queries, gallery, out_dir, prefix="retrieval"):
     rounded `%.8f` of its float64 value, as Python's `f"{v:.8f}"` gives.
     An id holding NUL is a `ValueError`."""
     os.makedirs(out_dir, exist_ok=True)
-    rank_path = os.path.join(out_dir, f"{prefix}_rankings.csv")
-    summary_path = os.path.join(out_dir, f"{prefix}_summary.csv")
-    hist_path = os.path.join(out_dir, f"{prefix}_distances.csv")
+    rank_path = os.path.join(out_dir, "retrieval_rankings.csv")
+    summary_path = os.path.join(out_dir, "retrieval_summary.csv")
+    hist_path = os.path.join(out_dir, "retrieval_distances.csv")
     qids, gids = report.query_ids, report.gallery_ids
     qclass = {q.id: q.class_id for q in queries}
     gclass = {g.id: g.class_id for g in gallery}

@@ -341,6 +341,28 @@ def test_eval_store_with_non_utf8_id_is_validation_error(pipeline, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("fault", ["non-utf8-id", "truncated"])
+def test_eval_bad_gallery_store_names_its_path(pipeline, tmp_path, capsys,
+                                               fault):
+    """The pipeline gallery store with its first id byte made 0xff, or with
+    its last 3 bytes cut off: the error names the gallery path."""
+    blob = bytearray(open(pipeline["gallery"], "rb").read())
+    if fault == "non-utf8-id":
+        blob[18] = 0xFF
+    else:
+        del blob[-3:]
+    bad = tmp_path / "gallery.bin"
+    bad.write_bytes(bytes(blob))
+    out_dir = tmp_path / "r"
+    code = cli.main(["eval", "--query", pipeline["query"], "--gallery",
+                     str(bad), "--k", "1", "--out", str(out_dir)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"store {bad}: " in err and pipeline["query"] not in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def _embed_with(pipeline, tmp_path, blob):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob)

@@ -84,18 +84,25 @@ def test_assemble_deterministic(rng):
 # ranking
 # ---------------------------------------------------------------------------
 
+def topk_one(query, gallery, k):
+    """`cosine_topk` for one query vector, as a (1, D) block: the ranked
+    gallery ids and their scores."""
+    order, scores = retrieval.cosine_topk(np.asarray(query)[None], gallery, k)
+    assert order.shape == scores.shape == (1, k)
+    return [gallery[j].id for j in order[0]], scores[0].tolist()
+
+
 def test_topk_self_match(rng):
     gallery = random_records(rng, 10, 8)
-    q = gallery[3].vector
-    top = retrieval.cosine_topk(q, gallery, 1)
-    assert top[0][0].id == gallery[3].id
-    assert top[0][1] == pytest.approx(1.0, abs=1e-6)
+    ids, scores = topk_one(gallery[3].vector, gallery, 1)
+    assert ids == [gallery[3].id]
+    assert scores[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_topk_full_is_permutation(rng):
     gallery = random_records(rng, 12, 8)
-    ranked = retrieval.cosine_topk(rng.normal(size=8), gallery, 12)
-    assert sorted(r.id for r, _ in ranked) == sorted(r.id for r in gallery)
+    ids, _ = topk_one(rng.normal(size=8), gallery, 12)
+    assert sorted(ids) == sorted(r.id for r in gallery)
 
 
 def test_topk_breaks_ties_by_id():
@@ -103,14 +110,13 @@ def test_topk_breaks_ties_by_id():
     gallery = [EmbeddingRecord("b", "drone", 0, v.copy()),
                EmbeddingRecord("a", "drone", 1, v.copy()),
                EmbeddingRecord("c", "drone", 2, v.copy())]
-    ranked = retrieval.cosine_topk(v, gallery, 3)
-    assert [r.id for r, _ in ranked] == ["a", "b", "c"]
+    assert topk_one(v, gallery, 3)[0] == ["a", "b", "c"]
 
 
 def test_topk_matches_sort_oracle(rng):
     gallery = random_records(rng, 20, 6)
     q = unit(rng.normal(size=6))
-    ranked = [r.id for r, _ in retrieval.cosine_topk(q, gallery, 20)]
+    ranked, _ = topk_one(q, gallery, 20)
     oracle = sorted(gallery, key=lambda r: (-float(q @ r.vector), r.id))
     assert ranked == [r.id for r in oracle]
 
@@ -123,17 +129,17 @@ def test_topk_block_matches_single_query_rows(rng):
         order, scores = retrieval.cosine_topk(block, gallery, k)
         assert order.shape == scores.shape == (8, k)
         for q, row, row_scores in zip(queries, order, scores):
-            single = retrieval.cosine_topk(q.vector, gallery, k)
-            assert [gallery[j].id for j in row] == [r.id for r, _ in single]
-            assert row_scores.tolist() == [s for _, s in single]
+            single_ids, single_scores = topk_one(q.vector, gallery, k)
+            assert [gallery[j].id for j in row] == single_ids
+            assert row_scores.tolist() == single_scores
 
 
 def test_topk_validation():
     with pytest.raises(ValueError):
-        retrieval.cosine_topk(np.ones(2), [], 1)
+        retrieval.cosine_topk(np.ones((1, 2)), [], 1)
     gallery = [EmbeddingRecord("a", "drone", 0, unit([1, 0]))]
     with pytest.raises(ValueError):
-        retrieval.cosine_topk(np.ones(2), gallery, 2)
+        retrieval.cosine_topk(np.ones((1, 2)), gallery, 2)
 
 
 def test_ranking_invariant_to_pre_normalization_scale(rng):
@@ -143,9 +149,7 @@ def test_ranking_invariant_to_pre_normalization_scale(rng):
     g2 = [EmbeddingRecord(f"g{i}", "drone", i, unit(v * rng.uniform(0.1, 10)))
           for i, v in enumerate(base)]
     q = unit(rng.normal(size=6))
-    r1 = [r.id for r, _ in retrieval.cosine_topk(q, g1, 10)]
-    r2 = [r.id for r, _ in retrieval.cosine_topk(q, g2, 10)]
-    assert r1 == r2
+    assert topk_one(q, g1, 10)[0] == topk_one(q, g2, 10)[0]
 
 
 # ---------------------------------------------------------------------------

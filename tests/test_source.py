@@ -48,6 +48,51 @@ def test_no_unused_imports_in_package():
     assert not found
 
 
+def unread_private_names(sources):
+    """`_private` names bound at the top level of any module in `sources`
+    ({module: text}) that no module in `sources` reads, by name or as an
+    attribute. Dunder names are exempt."""
+    bound, read = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            bound += [(module, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return sorted(f"{module}: {name}" for module, name in bound
+                  if name not in read)
+
+
+def test_unread_private_name_detector():
+    sources = {
+        "a": ("_used = 1\n_dead, x = 2, 3\n__all__ = []\n"
+              "def _helper():\n    return _used\nclass _Kept:\n    pass\n"),
+        "b": "import a\na._Kept()\na._dead = 4\n_own: int = 0\nprint(_own)\n"}
+    assert unread_private_names(sources) == ["a: _dead", "a: _helper"]
+
+
+def test_every_private_module_name_is_read():
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert unread_private_names(sources) == []
+
+
 def test_entry_points_do_not_import_scipy():
     """The runtime needs only numpy: importing the command line, training
     and the self-test in a fresh interpreter loads no scipy module."""
