@@ -6,41 +6,14 @@ downsample conv, and every stage stacks blocks of
 {7x7 depthwise conv -> norm -> 1x1 expand x4 -> GELU -> 1x1 project ->
 residual}. Total stride is fixed at 32, so a SxS input yields an
 (S/32)x(S/32) feature map. Both views go through the same parameter store:
-weight sharing is structural.
+weight sharing is structural. Its settings are the model's `ModelConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import ops
+from .config import ModelConfig
 from .layers import BatchNorm, Conv2d, Module
-
-
-@dataclass
-class BackboneConfig:
-    stage_channels: tuple = (16, 32, 64, 128)
-    blocks_per_stage: int = 2
-    input_size: int = 64
-
-    def validate(self):
-        if len(self.stage_channels) != 4:
-            raise ops.ShapeError("backbone needs exactly 4 stages, got "
-                                 f"{len(self.stage_channels)}")
-        if self.input_size % 32 != 0:
-            raise ops.ShapeError(
-                f"input_size {self.input_size} not divisible by the total "
-                "stride 32")
-
-    @property
-    def out_channels(self):
-        return self.stage_channels[-1]
-
-    @property
-    def out_size(self):
-        return self.input_size // 32
 
 
 class Block(Module):
@@ -58,11 +31,11 @@ class Block(Module):
 
 
 class Backbone(Module):
-    def __init__(self, cfg: BackboneConfig, rng, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        chans = cfg.stage_channels
+        chans, dtype = cfg.stage_channels, cfg.np_dtype
         self.stem = Conv2d(3, chans[0], 4, rng, stride=4, dtype=dtype)
         self.downsamples = [
             Conv2d(chans[i - 1], chans[i], 2, rng, stride=2, dtype=dtype)

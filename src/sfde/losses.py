@@ -9,31 +9,15 @@ log-temperature, initialized at ln(0.07), shared by both contrastive terms.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import ops
 from .autodiff import Tensor
+from .config import LossWeights
 
 
 class LossError(ValueError):
     pass
-
-
-@dataclass
-class LossWeights:
-    """The `[loss]` section of a run config."""
-    lambda_ce: float = field(default=0.1, metadata={"min": 0})
-    lambda_infonce: float = field(default=1.0, metadata={"min": 0})
-    lambda_dsa: float = field(default=1.3, metadata={"min": 0})
-
-    def validate(self):
-        weights = (self.lambda_ce, self.lambda_infonce, self.lambda_dsa)
-        if not all(0 <= w < math.inf for w in weights):
-            raise LossError(f"loss weights must be finite and non-negative, "
-                            f"got {weights}")
 
 
 def cross_entropy(logits, labels):
@@ -100,7 +84,6 @@ def pool_for_contrast(feature_map, gem_p):
 def total_loss(ce, nce, dsa, weights: LossWeights):
     """lambda_1 * CE + lambda_2 * InfoNCE + lambda_3 * DSA; any part may be
     None (treated as absent, not zero-weighted)."""
-    weights.validate()
     parts = []
     for term, w in ((ce, weights.lambda_ce), (nce, weights.lambda_infonce),
                     (dsa, weights.lambda_dsa)):

@@ -1,19 +1,19 @@
-"""The full three-branch network and its configuration, plus checkpoint
-serialization of the complete parameter/buffer state.
+"""The full three-branch network, plus checkpoint serialization of the
+complete parameter/buffer state. Its `ModelConfig` is in `sfde.config`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import ops
 from .autodiff import Parameter, Tensor
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone
 from .binio import Reader, write_atomic
+from .config import ConfigError, ModelConfig
 from .fsab import FrequencyStabilityBranch
 from .gscb import GlobalSemanticBranch
 from .layers import Module
@@ -24,65 +24,6 @@ OPTIMIZER_NOTE = (
     "mh=m/(1-b1^t); vh=v/(1-b2^t); "
     "p -= lr*mh/(sqrt(vh)+eps) + lr*wd*p (decoupled weight decay); "
     "b1=0.9 b2=0.999 eps=1e-8")
-
-
-@dataclass
-class ModelConfig:
-    stage_channels: tuple = (16, 32, 64, 128)
-    blocks_per_stage: int = 2
-    input_size: int = 128
-    embed_dim: int = 256
-    heads: int = field(default=4, metadata={"min": 1})
-    num_classes: int = 0
-    use_gscb: bool = True
-    use_lgsb: bool = True
-    use_fsab: bool = True
-    dtype: str = field(default="float32",
-                       metadata={"choices": ("float32", "float64")})
-
-    def validate(self):
-        if self.heads < 1:
-            raise ops.ShapeError(f"heads must be at least 1, got {self.heads}")
-        bb = self.backbone_config()
-        bb.validate()
-        c, s = bb.out_channels, bb.out_size
-        if self.use_lgsb:
-            if c % 4 != 0:
-                raise ops.ShapeError(f"local branch needs C divisible by 4, got {c}")
-            if s < 4:
-                raise ops.ShapeError(
-                    f"local branch pyramid needs feature maps >= 4x4; input "
-                    f"size {self.input_size} gives {s}x{s} (use >= 128)")
-        if self.use_fsab:
-            if s % 2 != 0:
-                raise ops.ShapeError(
-                    f"frequency branch needs even feature width, got {s}")
-            if c % self.heads != 0:
-                raise ops.ShapeError(
-                    f"feature channels {c} not divisible by {self.heads} heads")
-
-    def backbone_config(self):
-        return BackboneConfig(tuple(self.stage_channels),
-                              self.blocks_per_stage, self.input_size)
-
-    @property
-    def np_dtype(self):
-        return {"float32": np.float32, "float64": np.float64}[self.dtype]
-
-    @property
-    def feature_channels(self):
-        return self.stage_channels[-1]
-
-    @property
-    def descriptor_dim(self):
-        d = 0
-        if self.use_gscb:
-            d += self.embed_dim
-        if self.use_lgsb:
-            d += self.feature_channels
-        if self.use_fsab:
-            d += self.feature_channels
-        return d
 
 
 @dataclass
@@ -99,11 +40,10 @@ class SFDEModel(Module):
 
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        cfg.validate()
+        self.backbone = Backbone(cfg, rng)  # validates cfg first
         self.cfg = cfg
         dt = cfg.np_dtype
         c = cfg.feature_channels
-        self.backbone = Backbone(cfg.backbone_config(), rng, dtype=dt)
         self.gscb = (GlobalSemanticBranch(c, cfg.embed_dim, cfg.num_classes,
                                           rng, dtype=dt)
                      if cfg.use_gscb else None)
@@ -196,15 +136,12 @@ def load_checkpoint(path):
         cfg_d = dict(header["model_config"])
         cfg_d["stage_channels"] = tuple(cfg_d["stage_channels"])
         cfg = ModelConfig(**cfg_d)
+    except ConfigError as e:
+        raise CheckpointError(f"malformed model_config in checkpoint "
+                              f"({e})") from e
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed model_config in checkpoint "
                               f"({type(e).__name__}: {e})") from e
-    for f in fields(ModelConfig):
-        choices = f.metadata.get("choices")
-        if choices and getattr(cfg, f.name) not in choices:
-            raise CheckpointError(
-                f"malformed model_config in checkpoint ({f.name} must be "
-                f"{' or '.join(choices)}, got {getattr(cfg, f.name)!r})")
     model = SFDEModel(cfg, np.random.default_rng(0))
 
     (count,) = r.unpack("<I", "array count")

@@ -5,7 +5,8 @@ import pytest
 
 from sfde import ops, spectral
 from sfde.autodiff import Tape, Tensor
-from sfde.backbone import Backbone, BackboneConfig
+from sfde.backbone import Backbone
+from sfde.config import ModelConfig
 from sfde.fsab import (ATTENTION_TOKEN_BUDGET, FrequencyInternals,
                        FrequencyStabilityBranch, coordinate_grid)
 from sfde.gscb import GlobalSemanticBranch
@@ -16,15 +17,21 @@ from sfde.lgsb import LocalGeometricBranch
 # backbone
 # ---------------------------------------------------------------------------
 
+def toy_backbone_config(size=64, stage_channels=(4, 4, 8, 8)):
+    """A 2x2 map (64 px) is too small for the local branch's pyramid."""
+    return ModelConfig(stage_channels=stage_channels, blocks_per_stage=1,
+                       input_size=size, use_lgsb=size >= 128)
+
+
 def test_backbone_stride_32_shapes(rng):
     for size, spatial in [(64, 2), (128, 4)]:
-        bb = Backbone(BackboneConfig((4, 4, 8, 8), 1, size), rng)
+        bb = Backbone(toy_backbone_config(size), rng)
         y = bb(Tensor(rng.normal(size=(2, 3, size, size)).astype(np.float32)))
         assert y.shape == (2, 8, spatial, spatial)
 
 
 def test_backbone_weight_sharing_is_structural(rng):
-    bb = Backbone(BackboneConfig((4, 4, 8, 8), 1, 64), rng)
+    bb = Backbone(toy_backbone_config(), rng)
     img = rng.normal(size=(1, 3, 64, 64)).astype(np.float32)
     drone = bb(Tensor(img.copy()))
     satellite = bb(Tensor(img.copy()))
@@ -32,20 +39,21 @@ def test_backbone_weight_sharing_is_structural(rng):
 
 
 def test_backbone_output_varies(rng):
-    bb = Backbone(BackboneConfig((4, 4, 8, 8), 1, 64), rng)
+    bb = Backbone(toy_backbone_config(), rng)
     y = bb(Tensor(rng.normal(size=(1, 3, 64, 64)).astype(np.float32)))
     assert np.all(np.isfinite(y.data))
     assert y.data.std() > 0
 
 
 def test_backbone_rejects_wrong_input(rng):
-    bb = Backbone(BackboneConfig((4, 4, 8, 8), 1, 64), rng)
+    bb = Backbone(toy_backbone_config(), rng)
     with pytest.raises(ops.ShapeError):
         bb(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)))
-    with pytest.raises(ops.ShapeError):
-        BackboneConfig((4, 4, 8, 8), 1, 60).validate()
-    with pytest.raises(ops.ShapeError):
-        BackboneConfig((4, 4, 8), 1, 64).validate()
+    with pytest.raises(ops.ShapeError, match="not divisible by the total "
+                                             "stride 32"):
+        toy_backbone_config(60).validate()
+    with pytest.raises(ops.ShapeError, match="needs exactly 4 stages, got 3"):
+        toy_backbone_config(stage_channels=(4, 4, 8)).validate()
 
 
 # ---------------------------------------------------------------------------

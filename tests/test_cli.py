@@ -256,15 +256,28 @@ def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
     ("dtype", "float16",
      "malformed model_config in checkpoint (dtype must be float32 or float64"),
     ("norm_mean", None, "checkpoint header needs a 3-element norm_mean"),
-    ("norm_std", [1.0, 1.0], "checkpoint header needs a 3-element norm_std")],
+    ("norm_std", [1.0, 1.0], "checkpoint header needs a 3-element norm_std"),
+    ("embed_dim", "32", "malformed model_config in checkpoint (embed_dim "
+     "must be of type int, got '32')"),
+    ("heads", 2.0, "malformed model_config in checkpoint (heads must be of "
+     "type int, got 2.0)"),
+    ("embed_dim", 0, "malformed model_config in checkpoint (embed_dim must "
+     "be at least 1, got 0)"),
+    ("use_fsab", "no", "malformed model_config in checkpoint (use_fsab must "
+     "be true or false, got 'no')"),
+    ("blocks_per_stage", -1, "malformed model_config in checkpoint "
+     "(blocks_per_stage must be at least 1, got -1)")],
     ids=["mystery_knob-1", "stage_channels-None", "stage_channels-5",
-         "None-None", "dtype-float16", "norm_mean-None", "norm_std-short"])
+         "None-None", "dtype-float16", "norm_mean-None", "norm_std-short",
+         "embed_dim-str", "heads-float", "embed_dim-zero", "use_fsab-str",
+         "blocks_per_stage-negative"])
 def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
                                                          capsys, key, value,
                                                          message):
     """An unknown key, a missing or non-list `stage_channels`, a missing
-    `model_config`, a `dtype` outside its choices and a missing or short
-    `norm_mean`/`norm_std` are each a CheckpointError, not a traceback."""
+    `model_config`, a value that breaks a config file's rules (type, bound
+    or choices) and a missing or short `norm_mean`/`norm_std` are each a
+    CheckpointError, not a traceback."""
     blob = open(pipeline["ckpt"], "rb").read()
     (hlen,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + hlen].decode())
@@ -465,11 +478,24 @@ def test_bad_config_is_validation_error(pipeline, tmp_path):
     ("[train]\nflip_probability = -2\n",
      "line 2: flip_probability must be at least 0, got '-2'"),
     ("[train]\nweight_decay = -1\n",
-     "line 2: weight_decay must be at least 0, got '-1'")],
+     "line 2: weight_decay must be at least 0, got '-1'"),
+    ("[model]\nembed_dim = 0\n",
+     "line 2: embed_dim must be at least 1, got '0'"),
+    ("[model]\nstage_channels = 8,0,16,32\n",
+     "line 2: stage_channels must be at least 1, got '8,0,16,32'"),
+    ("[model]\nstage_channels = 8,-16,16,32\n",
+     "line 2: stage_channels must be at least 1, got '8,-16,16,32'"),
+    ("[train]\nseed = -1\n", "line 2: seed must be at least 0, got '-1'"),
+    ("[model]\nblocks_per_stage = -1\n",
+     "line 2: blocks_per_stage must be at least 1, got '-1'"),
+    ("[model]\ninput_size = 0\n",
+     "line 2: input_size must be at least 32, got '0'")],
     ids=["steps-zero", "batch-pairs-zero", "steps-not-int", "repeated-key",
          "heads-zero", "lambda-ce-negative", "lambda-ce-nan",
          "learning-rate-inf", "lr-floor-nan", "warmup-fraction-above-one",
-         "flip-probability-negative", "weight-decay-negative"])
+         "flip-probability-negative", "weight-decay-negative",
+         "embed-dim-zero", "stage-channel-zero", "stage-channel-negative",
+         "seed-negative", "blocks-per-stage-negative", "input-size-zero"])
 def test_bad_config_value_names_line_and_key(pipeline, tmp_path, capsys,
                                              monkeypatch, text, message):
     """Rejected while parsing: no image is read and no checkpoint written."""

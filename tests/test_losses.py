@@ -6,6 +6,7 @@ import pytest
 from conftest import finite_difference
 from sfde import losses, ops
 from sfde.autodiff import Parameter, Tensor
+from sfde.config import ConfigError
 
 
 def unit_rows(rng, n, d):
@@ -156,16 +157,16 @@ def test_total_loss_skips_absent_parts():
 
 
 def test_total_loss_rejects_negative_weights():
-    one = Tensor(np.asarray(1.0))
-    with pytest.raises(losses.LossError):
-        losses.total_loss(one, one, one, losses.LossWeights(-0.1, 1.0, 1.3))
+    """Refused when the weights are built, before any loss is weighted."""
+    with pytest.raises(ConfigError, match="lambda_ce must be at least 0"):
+        losses.LossWeights(-0.1, 1.0, 1.3)
 
 
 @pytest.mark.parametrize("weights", [(np.nan, 1.0, 1.3), (0.1, np.inf, 1.3),
                                      (0.1, 1.0, np.nan)])
 def test_loss_weights_reject_non_finite(weights):
-    with pytest.raises(losses.LossError, match="finite"):
-        losses.LossWeights(*weights).validate()
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        losses.LossWeights(*weights)
 
 
 # ---------------------------------------------------------------------------

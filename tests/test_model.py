@@ -8,7 +8,7 @@ import pytest
 
 from sfde import data, losses, ops, retrieval
 from sfde.autodiff import Parameter, Tape, Tensor
-from sfde.config import RunConfig
+from sfde.config import ConfigError, RunConfig
 from sfde.layers import Module
 from sfde.model import (OPTIMIZER_NOTE, CheckpointError, ModelConfig,
                         SFDEModel, load_checkpoint, save_checkpoint)
@@ -44,8 +44,8 @@ def test_model_config_validation():
         ModelConfig(**dict(TOY, input_size=64)).validate()  # 2x2 pyramid
     with pytest.raises(ops.ShapeError):
         ModelConfig(**dict(TOY, heads=3)).validate()  # C % heads
-    with pytest.raises(ops.ShapeError, match="heads must be at least 1"):
-        ModelConfig(**dict(TOY, heads=0)).validate()
+    with pytest.raises(ConfigError, match="heads must be at least 1"):
+        ModelConfig(**dict(TOY, heads=0))
     cfg = ModelConfig(**dict(TOY, input_size=64), use_lgsb=False)
     cfg.validate()  # 2x2 maps are fine without the pyramid
 

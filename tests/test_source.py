@@ -1,12 +1,14 @@
 """Static checks on the package source (no linter is assumed installed)."""
 
 import ast
+import dataclasses
 import glob
 import os
 import subprocess
 import sys
 
 import sfde
+from sfde.config import LossWeights, ModelConfig, TrainConfig
 
 SRC = os.path.dirname(os.path.abspath(sfde.__file__))
 
@@ -104,3 +106,38 @@ def test_entry_points_do_not_import_scipy():
                        capture_output=True, text=True, timeout=120,
                        check=True)
     assert r.stdout.strip() == "[]"
+
+
+def metadata_reads(text):
+    """Line numbers where `text` reads an attribute named `metadata`."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(text))
+                  if isinstance(n, ast.Attribute) and n.attr == "metadata")
+
+
+def test_metadata_read_detector():
+    text = "x = f.metadata\nf.metadata.get('min')\ny = metadata\n"
+    assert metadata_reads(text) == [1, 2]
+
+
+def test_only_config_reads_field_metadata():
+    """The field rules (type, bounds, choices) are applied in `config.py`
+    alone, so a config file, a `RunConfig` and a checkpoint header meet the
+    same rules."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "config.py":
+            continue
+        with open(path) as fh:
+            lines = metadata_reads(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert not found
+
+
+def test_every_numeric_config_field_has_a_lower_bound():
+    missing = [f"{section.__name__}.{f.name}"
+               for section in (ModelConfig, TrainConfig, LossWeights)
+               for f in dataclasses.fields(section)
+               if type(f.default) in (int, float, tuple)
+               and "min" not in f.metadata]
+    assert missing == []
