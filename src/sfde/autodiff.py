@@ -3,13 +3,17 @@
 A `Tape` records every differentiable kernel invocation that happens while it
 is active (entered as a context manager). Calling `Tape.backward(loss)` replays
 the records once in strict reverse execution order and accumulates gradients
-into every `Parameter` that participated.
+into every `Parameter` that participated. Each record is dropped as it is
+replayed, so a training step's peak memory is its forward pass's saved
+activations, not those plus every gradient.
 
 Kernels themselves live in `sfde.ops`; this module only provides the value
 containers and the replay machinery.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -22,7 +26,7 @@ class Tensor:
     """A dense real array. Floating data keeps its dtype (float32 in the
     model, float64 for gradient checks); any other data becomes float32."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -68,8 +72,9 @@ _TAPES: list["Tape"] = []
 class Tape:
     """Ordered record of executed differentiable operations.
 
-    Single-owner: one forward pass, one backward replay. A second backward on
-    the same tape raises `TapeError`.
+    Single-owner: one forward pass, one backward replay. The replay consumes
+    the records (the tape is empty afterwards), and a second backward on the
+    same tape raises `TapeError`.
     """
 
     def __init__(self):
@@ -91,17 +96,25 @@ class Tape:
 
     def backward(self, loss: Tensor):
         """Add the gradient of `loss` into `grad` of every Parameter that
-        influenced it, and keep every taped tensor's gradient for `grad`.
-        The gradient of the loss w.r.t. itself is 1."""
+        influenced it. The gradient of the loss w.r.t. itself is 1.
+
+        Records are popped as they are replayed, so the activations each
+        record's closure holds are freed as soon as its gradient is taken.
+        Gradients are kept per tensor only while the tensor itself lives:
+        afterwards `grad` answers for the tensors the caller still holds."""
         if self._consumed:
             raise TapeError("tape already replayed; re-run the forward pass")
         if np.size(loss.data) != 1:
             raise TapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for outputs, inputs, backward_fn in reversed(self._records):
-            gouts = [grads.get(id(o)) for o in outputs]
+        # No backward rule writes into its incoming gradient and accumulation
+        # is out of place, so a gradient is stored as returned, without a copy.
+        grads = weakref.WeakKeyDictionary({loss: np.ones_like(loss.data)})
+        records = self._records
+        while records:
+            outputs, inputs, backward_fn = records.pop()
+            gouts = [grads.get(o) for o in outputs]
             if all(g is None for g in gouts):
                 continue
             gouts = [np.zeros_like(o.data) if g is None else g
@@ -110,21 +123,19 @@ class Tape:
             for t, g in zip(inputs, gins):
                 if g is None:
                     continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = np.array(g, copy=True)
+                prev = grads.get(t)
+                grads[t] = g if prev is None else prev + g
                 if isinstance(t, Parameter):
                     t.grad += g.astype(t.grad.dtype, copy=False)
         self._grads = grads
 
     def grad(self, t: Tensor):
-        """Gradient of the replayed loss w.r.t. any tensor seen on the tape
-        (None if the tensor did not influence the loss)."""
+        """Gradient of the replayed loss w.r.t. a tensor seen on the tape
+        (None if it did not influence the loss). Only tensors that are still
+        alive keep a gradient: hold a tensor to query it after `backward`."""
         if self._grads is None:
             raise TapeError("call backward before querying gradients")
-        return self._grads.get(id(t))
+        return self._grads.get(t)
 
 
 def active_tape():

@@ -152,7 +152,8 @@ class MultiHeadSelfAttention(Module):
         scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(dh))
         attn = ops.softmax(scores, axis=-1)
-        self.last_attention = np.array(attn.data, copy=True)
+        self.last_attention = attn.data.view()
+        self.last_attention.flags.writeable = False
         ctx = ops.matmul(attn, v)
         ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (n, l, c))
         return self.out(ctx)

@@ -115,7 +115,7 @@ def compute_batch_losses(model: SFDEModel, drone_imgs, sat_imgs, labels,
     batch-norm sees the symmetric composition) and compute the three terms."""
     n = drone_imgs.shape[0]
     batch = Tensor(np.concatenate([drone_imgs, sat_imgs], axis=0).astype(
-        model.cfg.np_dtype))
+        model.cfg.np_dtype, copy=False))
     out = model(batch, training=training, rng=rng)
 
     def contrast(feature_map, gem_p):

@@ -3,6 +3,8 @@
 All checks run in 64-bit with step 1e-5 and require relative error < 1e-4.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,32 @@ def test_gradients_accumulate_across_uses(rng):
         loss = ops.sum_(ops.add(x, x))
     tape.backward(loss)
     assert np.allclose(x.grad, 2.0)
+
+
+def test_backward_consumes_the_records(rng):
+    x = make_param(rng, (3,))
+    with Tape() as tape:
+        loss = ops.sum_(ops.mul(x, x))
+    assert len(tape) == 2
+    tape.backward(loss)
+    assert len(tape) == 0
+
+
+def test_backward_frees_dropped_intermediates_and_keeps_held_ones(rng):
+    x = make_param(rng, (4,))
+    with Tape() as tape:
+        held = ops.scale(x, 2.0)
+        h = ops.add_const(held, 1.0)
+        loss = ops.sum_(ops.mul(h, held))
+    dropped = weakref.ref(h)
+    del h
+    assert dropped() is not None  # the tape's records still hold it
+    tape.backward(loss)
+    assert dropped() is None
+    # loss = sum(g^2 + g) with g = 2x: dL/dg = 2g + 1, dL/dx = 2 (2g + 1)
+    assert np.allclose(tape.grad(held), 2.0 * held.data + 1.0)
+    assert np.allclose(tape.grad(x), 4.0 * held.data + 2.0)
+    assert np.array_equal(tape.grad(x), x.grad)
 
 
 # ---------------------------------------------------------------------------

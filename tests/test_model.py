@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,59 @@ def test_model_computes_in_its_configured_dtype(rng, dtype):
     AdamW(model.parameters()).step(lr)
     for name, p in model.named_parameters():
         assert p.dtype == dtype, f"{name} is {p.dtype} after AdamW.step"
+
+
+def _read_only(g):
+    view = np.asarray(g).view()  # numpy scalars have no settable flags
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_no_backward_rule_writes_into_its_incoming_gradient(rng, dtype):
+    """The tape stores a gradient as the rule returned it, without a copy;
+    that is safe only while every rule treats its incoming gradients as
+    read-only. Each rule gets read-only views here, so a write raises."""
+    model = toy_model(dtype=dtype)
+    drone = rng.normal(size=(2, 3, 128, 128)).astype(dtype)
+    sat = rng.normal(size=(2, 3, 128, 128)).astype(dtype)
+    with Tape() as tape:
+        total, *_ = compute_batch_losses(
+            model, drone, sat, np.array([0, 1]), losses.LossWeights(),
+            training=True, rng=rng)
+
+    def guarded(backward_fn):
+        return lambda *grads: backward_fn(*map(_read_only, grads))
+
+    tape._records = [(outs, ins, guarded(fn))
+                     for outs, ins, fn in tape._records]
+    tape.backward(total)
+    for name, p in model.named_parameters():
+        assert np.isfinite(p.grad).all(), name
+
+
+def test_backward_peak_memory_is_the_forward_pass(rng):
+    """Replaying the tape frees each record's activations as it goes, so the
+    backward pass allocates about as much as it frees: its peak stays near
+    what the forward pass left live."""
+    model = toy_model()
+    drone = rng.normal(size=(2, 3, 128, 128)).astype(np.float32)
+    sat = rng.normal(size=(2, 3, 128, 128)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            total, *_ = compute_batch_losses(
+                model, drone, sat, np.array([0, 1]), losses.LossWeights(),
+                training=True, rng=rng)
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tape.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * live, (
+        f"backward peak {peak / 2**20:.1f} MiB vs {live / 2**20:.1f} MiB "
+        f"live after the forward pass")
 
 
 def _checkpoint_array_codes(path):
