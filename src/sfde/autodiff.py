@@ -23,14 +23,15 @@ class TapeError(RuntimeError):
 
 
 class Tensor:
-    """A dense real array. Floating data keeps its dtype (float32 in the
-    model, float64 for gradient checks); any other data becomes float32."""
+    """A dense array. Floating and complex data keep their dtype (float32 in
+    the model, float64 for gradient checks, complex for a spectrum); any
+    other data becomes float32."""
 
     __slots__ = ("data", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if not np.issubdtype(arr.dtype, np.inexact):
             arr = arr.astype(np.float32)
         self.data = arr
 
@@ -78,7 +79,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (outputs tuple, inputs tuple, backward_fn)
+        self._records = []  # (output, inputs tuple, backward_fn)
         self._consumed = False
         self._grads = None
 
@@ -113,14 +114,11 @@ class Tape:
         grads = weakref.WeakKeyDictionary({loss: np.ones_like(loss.data)})
         records = self._records
         while records:
-            outputs, inputs, backward_fn = records.pop()
-            gouts = [grads.get(o) for o in outputs]
-            if all(g is None for g in gouts):
+            out, inputs, backward_fn = records.pop()
+            gout = grads.get(out)
+            if gout is None:
                 continue
-            gouts = [np.zeros_like(o.data) if g is None else g
-                     for o, g in zip(outputs, gouts)]
-            gins = backward_fn(*gouts)
-            for t, g in zip(inputs, gins):
+            for t, g in zip(inputs, backward_fn(gout)):
                 if g is None:
                     continue
                 prev = grads.get(t)
@@ -142,8 +140,9 @@ def active_tape():
     return _TAPES[-1] if _TAPES else None
 
 
-def record(outputs, inputs, backward_fn):
-    """Register one executed op with the active tape (no-op when untaped)."""
+def record(output, inputs, backward_fn):
+    """Register one executed op with the active tape (no-op when untaped):
+    `backward_fn` maps the gradient of `output` to those of `inputs`."""
     tape = active_tape()
     if tape is not None:
-        tape._records.append((tuple(outputs), tuple(inputs), backward_fn))
+        tape._records.append((output, tuple(inputs), backward_fn))

@@ -136,9 +136,9 @@ class FrequencyStabilityBranch(Module):
         blend = ops.mul(ops.sigmoid(f_att), ops.add_const(ops.neg(we), 1.0))
         return ops.add(blend, keep)
 
-    def reconstruct_paths(self, f, fused_amp, gated_amp, phi, width):
-        path2 = spectral.irfft2(spectral.polar_recompose(fused_amp, phi, width))
-        path3 = spectral.irfft2(spectral.polar_recompose(gated_amp, phi, width))
+    def reconstruct_paths(self, f, fused_amp, gated_amp, phi):
+        path2 = spectral.irfft2(spectral.polar_recompose(fused_amp, phi))
+        path3 = spectral.irfft2(spectral.polar_recompose(gated_amp, phi))
         return f, path2, path3
 
     # -- full forward -------------------------------------------------------
@@ -160,7 +160,7 @@ class FrequencyStabilityBranch(Module):
             f_att = self.spectral_attention(q)
             fused_amp = self.gated_fusion(f_att, gated_amp)
 
-        paths = self.reconstruct_paths(f, fused_amp, gated_amp, phi, w)
+        paths = self.reconstruct_paths(f, fused_amp, gated_amp, phi)
 
         out = ops.concat(paths, axis=-3)
         for conv, norm in zip(self.fuse_convs, self.fuse_norms):

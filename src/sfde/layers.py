@@ -81,11 +81,11 @@ class Module:
 
 class Conv2d(Module):
     def __init__(self, cin, cout, k, rng, stride=1, padding=0, dilation=1,
-                 groups=1, bias=True, dtype=np.float32):
+                 groups=1, dtype=np.float32):
         super().__init__()
         self.weight = Parameter(
             trunc_normal(rng, (cout, cin // groups, k, k), 0.02, dtype))
-        self.bias = Parameter(np.zeros(cout, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(cout, dtype=dtype))
         self.stride, self.padding, self.dilation, self.groups = stride, padding, dilation, groups
 
     def __call__(self, x):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .autodiff import Tensor
+from .autodiff import Tensor, record
 from .config import LossWeights
 
 
@@ -44,8 +44,7 @@ def _gather_rows(x, cols):
         gx[rows, cols] = g
         return (gx,)
 
-    from .autodiff import record
-    record([out], [x], bwd)
+    record(out, [x], bwd)
     return out
 
 

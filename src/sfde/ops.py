@@ -41,14 +41,14 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     out = Tensor(a.data + b.data)
-    record([out], [a, b],
+    record(out, [a, b],
            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
     return out
 
 
 def mul(a, b):
     out = Tensor(a.data * b.data)
-    record([out], [a, b],
+    record(out, [a, b],
            lambda g: (_unbroadcast(g * b.data, a.shape),
                       _unbroadcast(g * a.data, b.shape)))
     return out
@@ -56,33 +56,33 @@ def mul(a, b):
 
 def neg(a):
     out = Tensor(-a.data)
-    record([out], [a], lambda g: (-g,))
+    record(out, [a], lambda g: (-g,))
     return out
 
 
 def scale(a, c: float):
     c = float(c)
     out = Tensor(a.data * c)
-    record([out], [a], lambda g: (g * c,))
+    record(out, [a], lambda g: (g * c,))
     return out
 
 
 def add_const(a, c: float):
     c = float(c)
     out = Tensor(a.data + c)
-    record([out], [a], lambda g: (g,))
+    record(out, [a], lambda g: (g,))
     return out
 
 
 def exp(a):
     out = Tensor(np.exp(a.data))
-    record([out], [a], lambda g: (g * out.data,))
+    record(out, [a], lambda g: (g * out.data,))
     return out
 
 
 def pow_const(a, c: float):
     out = Tensor(a.data ** c)
-    record([out], [a], lambda g: (g * c * a.data ** (c - 1.0),))
+    record(out, [a], lambda g: (g * c * a.data ** (c - 1.0),))
     return out
 
 
@@ -93,14 +93,14 @@ def pow_const(a, c: float):
 def relu(a):
     mask = a.data > 0
     out = Tensor(a.data * mask)
-    record([out], [a], lambda g: (g * mask,))
+    record(out, [a], lambda g: (g * mask,))
     return out
 
 
 def sigmoid(a):
     e = np.exp(-np.abs(a.data))
     out = Tensor(np.where(a.data >= 0, 1.0, e) / (1.0 + e))
-    record([out], [a], lambda g: (g * out.data * (1.0 - out.data),))
+    record(out, [a], lambda g: (g * out.data * (1.0 - out.data),))
     return out
 
 
@@ -179,7 +179,7 @@ def gelu(a):
     phi = 0.5 * (1.0 + _erf(x / _SQRT_2))
     out = Tensor(x * phi)
     # the density is computed only when a backward pass needs it
-    record([out], [a], lambda g: (
+    record(out, [a], lambda g: (
         g * (phi + x * (np.exp(-0.5 * x * x) / _SQRT_2PI)),))
     return out
 
@@ -189,7 +189,7 @@ def softplus(a):
     y = np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(x)))
     out = Tensor(y)
     sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-    record([out], [a], lambda g: (g * sig,))
+    record(out, [a], lambda g: (g * sig,))
     return out
 
 
@@ -204,7 +204,7 @@ def softmax(a, axis=-1):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    record([out], [a], bwd)
+    record(out, [a], bwd)
     return out
 
 
@@ -217,7 +217,7 @@ def log_softmax(a, axis=-1):
     def bwd(g):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
-    record([out], [a], bwd)
+    record(out, [a], bwd)
     return out
 
 
@@ -229,13 +229,11 @@ def sum_(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
 
-    record([out], [a], bwd)
+    record(out, [a], bwd)
     return out
 
 
@@ -247,14 +245,14 @@ def mean_(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
-    record([out], [a], lambda g: (g.reshape(a.shape),))
+    record(out, [a], lambda g: (g.reshape(a.shape),))
     return out
 
 
 def transpose(a, axes):
     out = Tensor(np.transpose(a.data, axes))
     inv = np.argsort(axes)
-    record([out], [a], lambda g: (np.transpose(g, inv),))
+    record(out, [a], lambda g: (np.transpose(g, inv),))
     return out
 
 
@@ -268,7 +266,7 @@ def concat(parts, axis=0):
         return tuple(np.array(piece, copy=True)
                      for piece in np.split(g, splits, axis=axis))
 
-    record([out], parts, bwd)
+    record(out, parts, bwd)
     return out
 
 
@@ -281,7 +279,7 @@ def slice_(a, idx):
         ga[idx] = g
         return (ga,)
 
-    record([out], [a], bwd)
+    record(out, [a], bwd)
     return out
 
 
@@ -293,7 +291,7 @@ def matmul(a, b):
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-    record([out], [a, b], bwd)
+    record(out, [a, b], bwd)
     return out
 
 
@@ -378,7 +376,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             return (gx, gw, gb)
         return (gx, gw)
 
-    record([out], [x, w] + ([b] if b is not None else []), bwd)
+    record(out, [x, w] + ([b] if b is not None else []), bwd)
     return out
 
 
@@ -438,7 +436,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             gx = gxhat * ch(inv)
         return (gx, ggamma, gbeta)
 
-    record([out], [x, gamma, beta], bwd)
+    record(out, [x, gamma, beta], bwd)
     return out
 
 
@@ -450,7 +448,7 @@ def _separable(x, a, b):
     """a @ x @ b.T over the last two axes for constant matrices a, b; its
     backward is the adjoint a.T @ g @ b."""
     out = Tensor(a @ x.data @ b.T)
-    record([out], [x], lambda g: (a.T @ g @ b,))
+    record(out, [x], lambda g: (a.T @ g @ b,))
     return out
 
 
@@ -540,7 +538,7 @@ def gem_pool(x, p):
         gp = np.asarray((g * dy_dp).sum(), dtype=p_t.dtype).reshape(p_t.shape)
         return (gx, gp)
 
-    record([out], [x, p_t], bwd)
+    record(out, [x, p_t], bwd)
     return out
 
 
@@ -554,7 +552,7 @@ def dropout(x, rate, rng):
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     out = Tensor(x.data * keep)
-    record([out], [x], lambda g: (g * keep,))
+    record(out, [x], lambda g: (g * keep,))
     return out
 
 

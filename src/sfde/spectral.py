@@ -4,10 +4,12 @@ Conventions (fixed by the test contract):
   - forward transform is unnormalized; the DC bin equals the sum of all
     spatial values,
   - the inverse carries the 1/(H*W) factor,
-  - the half-width spectrum keeps W' = W//2 + 1 columns; the inverse
-    enforces conjugate symmetry by construction (each interior column
-    stands for itself and its conjugate mirror, and the output is the real
-    part),
+  - the half-width spectrum is one complex tensor at the input's precision
+    (complex64 for float32, complex128 for float64) with W' = W//2 + 1
+    columns; W is even, so the inverse reads it back as W = 2(W' - 1),
+  - the inverse enforces conjugate symmetry by construction (each interior
+    column stands for itself and its conjugate mirror, and the output is the
+    real part),
   - phase of a zero-amplitude bin is 0, and so is its gradient.
 
 The DFT is separable, computed as matrix products with the n-point DFT
@@ -15,12 +17,11 @@ matrix F_n: the half spectrum is F_H @ x @ F_W[:, :W//2+1] and the inverse
 is Re(conj(F_H) @ (half * colw) @ conj(F_W[:W//2+1])) / (H*W), where colw
 counts each stored column's copies in the full spectrum. Each backward rule
 is the other product (its adjoint). `dft2_naive`, the defining double sum,
-checks them. Everything runs in complex128; outputs take the input dtype.
+checks them. The products run in complex128 and are rounded once to the
+input's precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,31 +79,18 @@ def dft2_naive(x):
 # half-width complex spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComplexSpectrum:
-    """Half-width spectrum of a real (..., H, W) signal: W' = W//2 + 1
-    columns, stored as separate real and imaginary tensors."""
-    real: Tensor
-    imag: Tensor
-    source_width: int
-
-    def __post_init__(self):
-        if self.real.shape != self.imag.shape:
-            raise ShapeError("spectrum real/imag shape mismatch: "
-                             f"{self.real.shape} vs {self.imag.shape}")
-        wp = self.source_width // 2 + 1
-        if self.real.shape[-1] != wp:
-            raise ShapeError(
-                f"spectrum has {self.real.shape[-1]} columns, expected "
-                f"W//2+1 = {wp} for source width {self.source_width}")
-
-    @property
-    def shape(self):
-        return self.real.shape
+def _complex(re, im):
+    """re + i*im at the parts' precision, set part by part: the expression
+    re + 1j*im can flip the sign of a zero part."""
+    out = np.empty(re.shape, np.result_type(re, im, np.complex64))
+    out.real = re
+    out.imag = im
+    return out
 
 
-def rfft2(x: Tensor) -> ComplexSpectrum:
-    """Unnormalized forward real 2-D DFT per channel. Requires even W."""
+def rfft2(x: Tensor) -> Tensor:
+    """Unnormalized forward real 2-D DFT per channel: the (..., H, W//2 + 1)
+    half spectrum, complex at x's precision. Requires even W."""
     H, W = x.shape[-2], x.shape[-1]
     if H < 2 or W < 2:
         raise ShapeError(f"rfft2 needs H, W >= 2, got {H}x{W}")
@@ -111,34 +99,35 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
                          "(half-spectrum bookkeeping assumes W' = W/2 + 1)")
     fh, fw = _dft_pair(H, W)
     half = fh @ x.data @ fw
-    re = Tensor(half.real.astype(x.dtype))
-    im = Tensor(half.imag.astype(x.dtype))
+    out = Tensor(half.astype(np.result_type(x.dtype, np.complex64)))
 
-    def bwd(gre, gim):
-        gx = (fh.conj() @ (gre + 1j * gim) @ fw.conj().T).real
+    def bwd(g):
+        gx = (fh.conj() @ g @ fw.conj().T).real
         return (gx.astype(x.dtype),)
 
-    record([re, im], [x], bwd)
-    return ComplexSpectrum(re, im, W)
+    record(out, [x], bwd)
+    return out
 
 
-def irfft2(s: ComplexSpectrum) -> Tensor:
-    """Exact inverse of rfft2 including the 1/(H*W) normalization."""
-    W = s.source_width
-    H = s.real.shape[-2]
+def irfft2(s: Tensor) -> Tensor:
+    """Exact inverse of rfft2 including the 1/(H*W) normalization. A half
+    spectrum of W' columns comes from a signal of even width W = 2(W' - 1)."""
+    H, wp = s.shape[-2], s.shape[-1]
+    if wp < 2:
+        raise ShapeError(f"irfft2 needs W' >= 2 spectrum columns, got {wp}")
+    W = 2 * (wp - 1)
     norm = _INVERSE_NORM_FUDGE / (H * W)
     fh, fw = _dft_pair(H, W)
-    colw = np.ones(W // 2 + 1)
-    colw[1:(W + 1) // 2] = 2.0  # interior columns appear twice in the full grid
-    half = (s.real.data + 1j * s.imag.data) * colw
-    y = (fh.conj() @ half @ fw.conj().T).real * norm
-    out = Tensor(y.astype(s.real.dtype))
+    colw = np.ones(wp)
+    colw[1:-1] = 2.0  # interior columns appear twice in the full grid
+    y = (fh.conj() @ (s.data * colw) @ fw.conj().T).real * norm
+    out = Tensor(y.astype(s.data.real.dtype))
 
     def bwd(g):
         G = fh @ g @ fw * (colw * norm)
-        return (G.real.astype(s.real.dtype), G.imag.astype(s.imag.dtype))
+        return (G.astype(s.dtype),)
 
-    record([out], [s.real, s.imag], bwd)
+    record(out, [s], bwd)
     return out
 
 
@@ -146,25 +135,25 @@ def irfft2(s: ComplexSpectrum) -> Tensor:
 # polar views
 # ---------------------------------------------------------------------------
 
-def amplitude(s: ComplexSpectrum) -> Tensor:
+def amplitude(s: Tensor) -> Tensor:
     """Per-bin modulus of the spectrum (>= 0)."""
-    re, im = s.real, s.imag
-    a = np.sqrt(re.data ** 2 + im.data ** 2)
+    re, im = s.data.real, s.data.imag
+    a = np.sqrt(re ** 2 + im ** 2)
     out = Tensor(a)
     safe = np.where(a > 0, a, 1.0)
 
     def bwd(g):
-        return (g * re.data / safe, g * im.data / safe)
+        return (_complex(g * re / safe, g * im / safe),)
 
-    record([out], [re, im], bwd)
+    record(out, [s], bwd)
     return out
 
 
-def phase(s: ComplexSpectrum) -> Tensor:
+def phase(s: Tensor) -> Tensor:
     """Per-bin angle in (-pi, pi]; zero bins get phase 0 and zero gradient."""
-    re, im = s.real, s.imag
-    r2 = re.data ** 2 + im.data ** 2
-    ang = np.arctan2(im.data, re.data)
+    re, im = s.data.real, s.data.imag
+    r2 = re ** 2 + im ** 2
+    ang = np.arctan2(im, re)
     ang = np.where(ang == -np.pi, np.pi, ang)
     ang = np.where(r2 == 0, 0.0, ang)
     out = Tensor(ang.astype(re.dtype))
@@ -172,28 +161,28 @@ def phase(s: ComplexSpectrum) -> Tensor:
     zero = r2 == 0
 
     def bwd(g):
-        gre = np.where(zero, 0.0, -g * im.data / safe)
-        gim = np.where(zero, 0.0, g * re.data / safe)
-        return (gre.astype(re.dtype), gim.astype(im.dtype))
+        gre = np.where(zero, 0.0, -g * im / safe)
+        gim = np.where(zero, 0.0, g * re / safe)
+        return (_complex(gre, gim).astype(s.dtype, copy=False),)
 
-    record([out], [re, im], bwd)
+    record(out, [s], bwd)
     return out
 
 
-def polar_recompose(amp: Tensor, phi: Tensor, source_width: int) -> ComplexSpectrum:
+def polar_recompose(amp: Tensor, phi: Tensor) -> Tensor:
     """Rebuild a complex spectrum from modulus and angle: A * e^{j*phi}."""
     if amp.shape != phi.shape:
         raise ShapeError(f"polar_recompose shape mismatch: {amp.shape} vs {phi.shape}")
     if np.any(amp.data < 0):
         raise ShapeError("polar_recompose requires non-negative amplitude")
     c, s_ = np.cos(phi.data), np.sin(phi.data)
-    re = Tensor(amp.data * c)
-    im = Tensor(amp.data * s_)
+    out = Tensor(_complex(amp.data * c, amp.data * s_))
 
-    def bwd(gre, gim):
+    def bwd(g):
+        gre, gim = g.real, g.imag
         ga = gre * c + gim * s_
         gp = amp.data * (gim * c - gre * s_)
         return (ga, gp)
 
-    record([re, im], [amp, phi], bwd)
-    return ComplexSpectrum(re, im, source_width)
+    record(out, [amp, phi], bwd)
+    return out

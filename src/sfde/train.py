@@ -174,7 +174,6 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
     opt = AdamW(model.parameters(), weight_decay=config.weight_decay)
 
     logs = []
-    initial_total = None
     for step in range(config.steps):
         pairs = min(config.batch_pairs, len(classes))
         batch_classes = rng.choice(classes, size=pairs, replace=False)
@@ -182,12 +181,12 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
         for cid in batch_classes:
             d = by_class[cid]["drone"][rng.integers(len(by_class[cid]["drone"]))]
             s = by_class[cid]["satellite"][rng.integers(len(by_class[cid]["satellite"]))]
-            di = cache.get(d).copy()
-            si = cache.get(s).copy()
+            di = cache.get(d)
+            si = cache.get(s)
             if rng.random() < config.flip_probability:
-                di = di[:, :, ::-1].copy()
+                di = di[:, :, ::-1]
             if rng.random() < config.flip_probability:
-                si = si[:, :, ::-1].copy()
+                si = si[:, :, ::-1]
             drone_imgs.append(standardize(di, mean, std))
             sat_imgs.append(standardize(si, mean, std))
             labels.append(class_index[cid])
@@ -215,8 +214,6 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
                       float(dsa.data) if dsa is not None else 0.0,
                       float(total.data))
         logs.append(log)
-        if initial_total is None:
-            initial_total = log.total
         if probe is not None and probe_every and (step + 1) % probe_every == 0:
             probe(model, (mean, std), class_index, step)
 

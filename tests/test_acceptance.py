@@ -45,18 +45,17 @@ def test_criterion_01_spectral_suite():
 
     x = rng.normal(size=(2, 6, 8))
     s = spectral.rfft2(Tensor(x))
-    dc_err = float(np.abs(s.real.data[:, 0, 0] - x.sum(axis=(-2, -1))).max())
+    dc_err = float(np.abs(s.data.real[:, 0, 0] - x.sum(axis=(-2, -1))).max())
     imp = np.zeros((1, 4, 4))
     imp[0, 0, 0] = 1.0
     si = spectral.rfft2(Tensor(imp))
-    imp_err = max(float(np.abs(si.real.data - 1.0).max()),
-                  float(np.abs(si.imag.data).max()))
+    imp_err = max(float(np.abs(si.data.real - 1.0).max()),
+                  float(np.abs(si.data.imag).max()))
 
     x8 = rng.normal(size=(2, 8, 8))
     full = spectral.dft2_naive(x8)
     half = spectral.rfft2(Tensor(x8))
-    oracle_err = float(np.abs(half.real.data + 1j * half.imag.data
-                              - full[..., :5]).max())
+    oracle_err = float(np.abs(half.data - full[..., :5]).max())
     elapsed = time.monotonic() - t0
     ok = (worst32 < 1e-5 and worst64 < 1e-10 and dc_err < 1e-6
           and imp_err < 1e-6 and oracle_err < 1e-6 and elapsed < 5.0)

@@ -254,7 +254,7 @@ def test_grad_spectral_chain(rng):
         amp = spectral.amplitude(s)
         phi = spectral.phase(s)
         gated = ops.mul(amp, ops.sigmoid(amp))
-        y = spectral.irfft2(spectral.polar_recompose(gated, phi, 6))
+        y = spectral.irfft2(spectral.polar_recompose(gated, phi))
         return ops.sum_(ops.mul(y, y))
 
     assert finite_difference(forward, [x]) < TOL

@@ -126,8 +126,8 @@ def test_no_backward_rule_writes_into_its_incoming_gradient(rng, dtype):
     def guarded(backward_fn):
         return lambda *grads: backward_fn(*map(_read_only, grads))
 
-    tape._records = [(outs, ins, guarded(fn))
-                     for outs, ins, fn in tape._records]
+    tape._records = [(out, ins, guarded(fn))
+                     for out, ins, fn in tape._records]
     tape.backward(total)
     for name, p in model.named_parameters():
         assert np.isfinite(p.grad).all(), name

@@ -108,6 +108,35 @@ def test_entry_points_do_not_import_scipy():
     assert r.stdout.strip() == "[]"
 
 
+def multi_output_records(text):
+    """Line numbers of `record(...)` calls whose first argument, the op's
+    output, is a list or tuple literal."""
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(text))
+        if isinstance(n, ast.Call) and n.args
+        and isinstance(n.args[0], (ast.List, ast.Tuple))
+        and (getattr(n.func, "id", None) == "record"
+             or getattr(n.func, "attr", None) == "record"))
+
+
+def test_multi_output_record_detector():
+    text = ("record(out, [x], f)\nrecord([out], [x], f)\n"
+            "autodiff.record((a, b), [x], f)\nconcat([a, b])\n")
+    assert multi_output_records(text) == [2, 3]
+
+
+def test_every_taped_op_has_one_output():
+    """A spectrum is one complex tensor, so no op records two outputs and
+    the tape replays exactly one output gradient per record."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            lines = multi_output_records(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert not found
+
+
 def metadata_reads(text):
     """Line numbers where `text` reads an attribute named `metadata`."""
     return sorted(n.lineno for n in ast.walk(ast.parse(text))
