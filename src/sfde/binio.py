@@ -1,5 +1,7 @@
 """Bounded reads and atomic writes for the little-endian binary formats: the
-SFDK checkpoint (`model`) and the SFDE embedding store (`retrieval`)."""
+SFDK checkpoint (`model`) and the SFDE embedding store (`retrieval`); and
+the one UTF-8 decode that they and the text files (config, manifest) share,
+whose error names the file and the bad byte's offset."""
 
 import os
 import struct
@@ -27,18 +29,23 @@ class Reader:
     def text(self, n, what):
         """The next `n` bytes decoded as UTF-8."""
         start = self.off
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise self.error(f"{what} is not valid UTF-8 (byte "
-                             f"{e.object[e.start]:#04x} at byte "
-                             f"{start + e.start})") from None
+        return decode_utf8(self.take(n, what), what, self.error, start)
 
     def end(self):
         """Raise the error class unless every byte has been read."""
         if self.off < len(self.blob):
             raise self.error(f"{len(self.blob) - self.off} trailing bytes at "
                              f"byte {self.off}")
+
+
+def decode_utf8(blob, what, error, start=0):
+    """`blob` decoded as UTF-8. An invalid byte raises `error` naming `what`,
+    the byte and its offset, counted from `start`."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{what} is not valid UTF-8 (byte {e.object[e.start]:#04x}"
+                    f" at byte {start + e.start})") from None
 
 
 def write_atomic(path, blob):

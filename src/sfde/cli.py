@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Verbs: selftest, synth, ingest, train, embed, eval.
-Exit codes: 0 success, 1 validation failure, 2 numeric failure, 3 I/O failure.
+Exit codes: 0 success, 1 validation failure (usage errors included), 2 numeric
+failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -91,8 +92,17 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1, not argparse's 2, which
+    means a numeric failure here. Subparsers are built from this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="sfde")
+    parser = _Parser(prog="sfde")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")

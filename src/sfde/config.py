@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
+from .binio import decode_utf8
 from .ops import ShapeError
 
 
@@ -238,5 +239,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        return parse_config(decode_utf8(fh.read(), path, ConfigError))

@@ -8,11 +8,13 @@ Expected layout: root/<split>/<class_id>/{drone,satellite}/*.pgm|*.ppm.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binio import decode_utf8
 from .ops import _interp_weights
 
 
@@ -199,7 +201,7 @@ def ingest(root):
 
 
 def save_manifest(manifest, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         for e in manifest.entries:
@@ -207,26 +209,27 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_COLUMNS:
-            raise DataError(f"{path}: bad manifest header {header}")
-        entries = []
-        for r in reader:
-            if len(r) != len(MANIFEST_COLUMNS):
-                raise DataError(f"{path}, line {reader.line_num}: {len(r)} "
-                                f"fields, expected {len(MANIFEST_COLUMNS)} "
-                                f"({','.join(MANIFEST_COLUMNS)})")
-            try:
-                class_id = int(r[3])
-            except ValueError:
-                raise DataError(f"{path}, line {reader.line_num}: class_id "
-                                f"{r[3]!r} is not an integer") from None
-            if r[2] not in VIEWS:
-                raise DataError(f"{path}, line {reader.line_num}: view "
-                                f"{r[2]!r} is not one of {', '.join(VIEWS)}")
-            entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path, DataError)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != MANIFEST_COLUMNS:
+        raise DataError(f"{path}: bad manifest header {header}")
+    entries = []
+    for r in reader:
+        if len(r) != len(MANIFEST_COLUMNS):
+            raise DataError(f"{path}, line {reader.line_num}: {len(r)} "
+                            f"fields, expected {len(MANIFEST_COLUMNS)} "
+                            f"({','.join(MANIFEST_COLUMNS)})")
+        try:
+            class_id = int(r[3])
+        except ValueError:
+            raise DataError(f"{path}, line {reader.line_num}: class_id "
+                            f"{r[3]!r} is not an integer") from None
+        if r[2] not in VIEWS:
+            raise DataError(f"{path}, line {reader.line_num}: view "
+                            f"{r[2]!r} is not one of {', '.join(VIEWS)}")
+        entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
     return DatasetManifest(entries)
 
 

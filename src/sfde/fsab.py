@@ -3,10 +3,10 @@ amplitude-phase encoding with spectral self-attention, gated fusion, and a
 three-path reconstruction fused back to C channels.
 
 The phase spectrum is never modified: both reconstruction paths recombine a
-(gated) amplitude with the original phase. Two test hooks exist:
-`pin_gates` forces the channel/spatial/calibration gates to 1 (so the gated
-amplitude equals the raw amplitude) and `disable_attention` bypasses the
-attention path.
+(gated) amplitude with the original phase. The forward pass is one chain of
+the public stages (`amplitude_gating`, `ampphase_encode`,
+`spectral_attention`, `gated_fusion`, `reconstruct_paths`), so a test reads
+any intermediate by calling the stages itself.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ class GateSet:
     channel: Tensor       # (N, C, 1, 1) in (0, 1)
     spatial: Tensor       # (N, 1, H, W') in (0, 1)
     calibration: Tensor   # (N, C, 1, 1) > 0
-
-
-@dataclass
-class FrequencyInternals:
-    amplitude: Tensor = None
-    phase: Tensor = None
-    gates: GateSet = None
-    gated_amplitude: Tensor = None
-    fused_amplitude: Tensor = None
-    paths: tuple = None
 
 
 class FrequencyStabilityBranch(Module):
@@ -87,20 +77,12 @@ class FrequencyStabilityBranch(Module):
                            BatchNorm(c, dtype=dtype),
                            BatchNorm(c, dtype=dtype)]
 
-        # test hooks
-        self.pin_gates = False
-        self.disable_attention = False
-
     # -- stages -------------------------------------------------------------
 
     def amplitude_gating(self, amp):
         if np.any(amp.data < 0):
             raise ops.ShapeError("amplitude gating requires non-negative input")
         n, c = amp.shape[0], amp.shape[1]
-        if self.pin_gates:
-            one = Tensor(np.ones((n, c, 1, 1), dtype=amp.dtype))
-            sp1 = Tensor(np.ones((n, 1) + amp.shape[-2:], dtype=amp.dtype))
-            return amp, GateSet(one, sp1, one)
         pooled = ops.adaptive_avg_pool(amp, 1, 1)
         wc = ops.sigmoid(self.ch_excite(ops.relu(self.ch_squeeze(pooled))))
         ws = ops.sigmoid(self.sp_conv(amp))
@@ -143,7 +125,7 @@ class FrequencyStabilityBranch(Module):
 
     # -- full forward -------------------------------------------------------
 
-    def __call__(self, f, training=False, rng=None, internals: FrequencyInternals = None):
+    def __call__(self, f, training=False, rng=None):
         w = f.shape[-1]
         if w % 2 != 0:
             raise ops.ShapeError(f"frequency branch needs even feature width, got {w}")
@@ -151,27 +133,14 @@ class FrequencyStabilityBranch(Module):
         amp = spectral.amplitude(spec)
         phi = spectral.phase(spec)
 
-        gated_amp, gates = self.amplitude_gating(amp)
-
-        if self.disable_attention:
-            fused_amp = gated_amp
-        else:
-            q = self.ampphase_encode(gated_amp, phi, training)
-            f_att = self.spectral_attention(q)
-            fused_amp = self.gated_fusion(f_att, gated_amp)
-
+        gated_amp, _ = self.amplitude_gating(amp)
+        q = self.ampphase_encode(gated_amp, phi, training)
+        f_att = self.spectral_attention(q)
+        fused_amp = self.gated_fusion(f_att, gated_amp)
         paths = self.reconstruct_paths(f, fused_amp, gated_amp, phi)
 
         out = ops.concat(paths, axis=-3)
         for conv, norm in zip(self.fuse_convs, self.fuse_norms):
             out = ops.gelu(norm(conv(out), training))
             out = ops.dropout(out, DROPOUT if training else 0.0, rng)
-
-        if internals is not None:
-            internals.amplitude = amp
-            internals.phase = phi
-            internals.gates = gates
-            internals.gated_amplitude = gated_amp
-            internals.fused_amplitude = fused_amp
-            internals.paths = paths
         return out

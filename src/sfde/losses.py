@@ -82,14 +82,18 @@ def pool_for_contrast(feature_map, gem_p):
 
 def total_loss(ce, nce, dsa, weights: LossWeights):
     """lambda_1 * CE + lambda_2 * InfoNCE + lambda_3 * DSA; any part may be
-    None (treated as absent, not zero-weighted)."""
+    None (treated as absent, not zero-weighted), but not every part: a run
+    with no loss term would only decay its weights."""
     parts = []
     for term, w in ((ce, weights.lambda_ce), (nce, weights.lambda_infonce),
                     (dsa, weights.lambda_dsa)):
         if term is not None:
             parts.append(ops.scale(term, w))
     if not parts:
-        return Tensor(np.asarray(0.0, dtype=np.float32))
+        raise LossError(
+            "no loss term to train: the classification term needs use_gscb "
+            "= true, and the contrastive terms need use_lgsb or use_fsab "
+            "with at least 2 pairs per batch")
     out = parts[0]
     for p in parts[1:]:
         out = ops.add(out, p)

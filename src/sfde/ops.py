@@ -310,7 +310,7 @@ def _tap_product(a, b):
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
-    """2-D cross-correlation. x: (C,H,W) or (N,C,H,W); w: (O, C/groups, K, K).
+    """2-D cross-correlation. x: (N,C,H,W); w: (O, C/groups, K, K).
 
     With stride 1 and padding = dilation*(K-1)/2 (K odd) the spatial size is
     preserved.
@@ -322,9 +322,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     is built. A 1x1 conv is one matmul and a depthwise conv a broadcast
     multiply per tap.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    N, C, H, W = xd.shape
+    if x.ndim != 4:
+        raise ShapeError(
+            f"conv2d needs (N, C, H, W) input, got shape {x.shape}")
+    N, C, H, W = x.shape
     O, Cg, Kh, Kw = w.shape
     if Cg * groups != C or O % groups != 0:
         raise ShapeError(
@@ -337,7 +338,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         raise ShapeError(f"conv2d empty output for input {H}x{W}, K={Kh}, "
                          f"stride={s}, padding={p}, dilation={d}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     G, Og = groups, O // groups
     wg = w.data.reshape(G, Og, Cg, Kh, Kw)
     taps = [(a_, b_, slice(a_ * d, a_ * d + s * (Ho - 1) + 1, s),
@@ -355,11 +356,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     out_d = out_d.reshape(N, O, Ho, Wo)
     if b is not None:
         out_d = out_d + b.data[:, None, None]
-    out = Tensor(out_d[0] if squeeze else out_d)
+    out = Tensor(out_d)
 
     def bwd(g):
-        gd = g[None] if squeeze else g
-        go = gd.reshape(N, G, Og, Ho * Wo)
+        go = g.reshape(N, G, Og, Ho * Wo)
         wt = np.swapaxes(wg, 1, 2)
         gw = np.empty(wg.shape, dtype=np.result_type(go, xp))
         gxp = np.zeros_like(xp)
@@ -369,9 +369,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             gxp[:, :, rows, cols] += _tap_product(
                 wt[..., a_, b_], go).reshape(N, C, Ho, Wo)
         gw = gw.reshape(O, Cg, Kh, Kw)
-        gb = gd.sum(axis=(0, 2, 3)) if b is not None else None
+        gb = g.sum(axis=(0, 2, 3)) if b is not None else None
         gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
-        gx = gx[0] if squeeze else gx
         if b is not None:
             return (gx, gw, gb)
         return (gx, gw)

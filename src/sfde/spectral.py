@@ -28,10 +28,6 @@ import numpy as np
 from .autodiff import Tensor, record
 from .ops import ShapeError
 
-# Test hook: selftest fault injection multiplies the inverse normalization by
-# this factor to prove the round-trip property actually detects breakage.
-_INVERSE_NORM_FUDGE = 1.0
-
 
 # ---------------------------------------------------------------------------
 # DFT matrices
@@ -116,7 +112,7 @@ def irfft2(s: Tensor) -> Tensor:
     if wp < 2:
         raise ShapeError(f"irfft2 needs W' >= 2 spectrum columns, got {wp}")
     W = 2 * (wp - 1)
-    norm = _INVERSE_NORM_FUDGE / (H * W)
+    norm = 1.0 / (H * W)
     fh, fw = _dft_pair(H, W)
     colw = np.ones(wp)
     colw[1:-1] = 2.0  # interior columns appear twice in the full grid

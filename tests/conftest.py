@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sfde import data
+from sfde import data, spectral
 from sfde.autodiff import Parameter, Tape
 
 
@@ -56,3 +58,18 @@ def finite_difference(forward, params, eps=1e-5, samples_per_param=6,
 
 def make_param(rng, shape, scale=1.0):
     return Parameter(rng.normal(size=shape) * scale, dtype=np.float64)
+
+
+def fsab_stages(branch, f, training=False):
+    """Every intermediate of a frequency-branch forward pass, from its public
+    stages composed in the branch's own order (the fusion layers excluded)."""
+    spec = spectral.rfft2(f)
+    amp = spectral.amplitude(spec)
+    phi = spectral.phase(spec)
+    gated, gates = branch.amplitude_gating(amp)
+    q = branch.ampphase_encode(gated, phi, training)
+    fused = branch.gated_fusion(branch.spectral_attention(q), gated)
+    paths = branch.reconstruct_paths(f, fused, gated, phi)
+    return SimpleNamespace(amplitude=amp, phase=phi, gates=gates,
+                           gated_amplitude=gated, fused_amplitude=fused,
+                           paths=paths)

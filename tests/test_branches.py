@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import fsab_stages
+
 from sfde import ops, spectral
 from sfde.autodiff import Tape, Tensor
 from sfde.backbone import Backbone
 from sfde.config import ModelConfig
-from sfde.fsab import (ATTENTION_TOKEN_BUDGET, FrequencyInternals,
-                       FrequencyStabilityBranch, coordinate_grid)
+from sfde.fsab import (ATTENTION_TOKEN_BUDGET, FrequencyStabilityBranch,
+                       coordinate_grid)
 from sfde.gscb import GlobalSemanticBranch
 from sfde.lgsb import LocalGeometricBranch
 
@@ -196,21 +198,20 @@ def test_coordinate_grid_corners_and_monotonicity():
 
 
 def test_fsab_identity_chain_with_pinned_gates(rng):
+    """Gates pinned at 1 leave the gated amplitude equal to the raw
+    amplitude, and path 3 then recomposes the input itself."""
     branch = FrequencyStabilityBranch(8, rng, heads=2, dtype=np.float64)
-    branch.pin_gates = True
-    branch.disable_attention = True
     f = Tensor(rng.normal(size=(2, 8, 4, 4)))
-    internals = FrequencyInternals()
-    branch(f, internals=internals)
-    path3 = internals.paths[2]
+    spec = spectral.rfft2(f)
+    amp = spectral.amplitude(spec)
+    _, _, path3 = branch.reconstruct_paths(f, amp, amp, spectral.phase(spec))
     assert np.abs(path3.data - f.data).max() < 1e-4
 
 
 def test_fsab_gate_ranges_and_amplitude_bound(rng):
     branch = FrequencyStabilityBranch(8, rng, heads=2, dtype=np.float64)
     f = Tensor(rng.normal(size=(2, 8, 4, 4)))
-    internals = FrequencyInternals()
-    branch(f, internals=internals)
+    internals = fsab_stages(branch, f)
     gates = internals.gates
     assert np.all(gates.channel.data > 0) and np.all(gates.channel.data < 1)
     assert np.all(gates.spatial.data > 0) and np.all(gates.spatial.data < 1)
@@ -224,8 +225,7 @@ def test_fsab_gate_ranges_and_amplitude_bound(rng):
 def test_fsab_phase_preserved_in_reconstruction(rng):
     branch = FrequencyStabilityBranch(8, rng, heads=2, dtype=np.float64)
     f = Tensor(rng.normal(size=(1, 8, 4, 4)))
-    internals = FrequencyInternals()
-    branch(f, internals=internals)
+    internals = fsab_stages(branch, f)
     phi = internals.phase.data
     assert np.all(phi > -np.pi - 1e-9) and np.all(phi <= np.pi + 1e-9)
     # recompute the spectrum of path 3 and compare where amplitude is nonzero
@@ -234,6 +234,17 @@ def test_fsab_phase_preserved_in_reconstruction(rng):
     mask = internals.gated_amplitude.data > 1e-6
     diff = np.angle(np.exp(1j * (back_phi - phi)))
     assert np.abs(diff[mask]).max() < 1e-5
+
+
+def test_fsab_forward_is_its_stages(rng):
+    """In eval mode the branch's output is its stages composed in order,
+    then fused: bit for bit, so no stage is skipped, repeated or rewired."""
+    branch = FrequencyStabilityBranch(8, rng, heads=2, dtype=np.float64)
+    f = Tensor(rng.normal(size=(2, 8, 4, 4)))
+    out = ops.concat(fsab_stages(branch, f).paths, axis=-3)
+    for conv, norm in zip(branch.fuse_convs, branch.fuse_norms):
+        out = ops.gelu(norm(conv(out), False))
+    assert np.array_equal(branch(f).data, out.data)
 
 
 def test_fsab_negative_amplitude_rejected(rng):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import sfde
-from sfde import cli, data, retrieval, selftest
+from sfde import cli, data, retrieval, selftest, spectral
+from sfde.autodiff import Tensor
 from sfde.model import ModelConfig, SFDEModel, save_checkpoint
 
 
@@ -61,9 +62,26 @@ def test_selftest_passes_and_prints_table(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_reports_injected_fault():
+def test_selftest_reports_injected_fault(monkeypatch):
+    """An inverse FFT off by 1% while the round-trip property runs fails
+    that property and no other."""
+    irfft2 = spectral.irfft2
+
+    def broken_irfft2(s):
+        return Tensor(irfft2(s).data * 1.01)
+
+    def with_broken_inverse(check):
+        def run_check(rng):
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "irfft2", broken_irfft2)
+                return check(rng)
+        return run_check
+
+    monkeypatch.setattr(selftest, "PROPERTIES", [
+        (name, with_broken_inverse(check) if name == "fft-round-trip"
+         else check) for name, check in selftest.PROPERTIES])
     lines = []
-    failures = selftest.run(corrupt_fft_normalization=True, out=lines.append)
+    failures = selftest.run(out=lines.append)
     assert failures == ["fft-round-trip"]
     assert any(line.startswith("FAIL") and "fft-round-trip" in line
                for line in lines)
@@ -457,6 +475,47 @@ def test_bad_config_is_validation_error(pipeline, tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--query", "q.bin", "--out", "r"],
+    ["embed", "--ckpt", "m.ckpt", "--manifest", "m.csv", "--split", "train",
+     "--view", "top", "--out", "e.bin"],
+    ["synth", "--root", "data", "--size", "ten"]],
+    ids=["missing-gallery", "unknown-view", "size-not-int"])
+def test_usage_error_is_validation_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_VALIDATION
+    assert "usage: sfde" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--help"])
+    assert exit_.value.code == cli.EXIT_OK
+    assert "--manifest" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("batch_pairs = 4", "batch_pairs = 1\n[model]\nuse_gscb = false"),
+    ("heads = 2", "heads = 2\nuse_gscb = false\nuse_lgsb = false\n"
+                  "use_fsab = false")],
+    ids=["one-pair-no-classifier", "no-branch"])
+def test_train_without_a_loss_term_is_validation_error(pipeline, tmp_path,
+                                                        capsys, old, new):
+    """Refused at the first step: nothing is trained and no checkpoint is
+    written."""
+    cfg = tmp_path / "noloss.cfg"
+    cfg.write_text(CFG.replace(old, new))
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", str(cfg),
+                     "--manifest", pipeline["manifest"], "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "no loss term" in err and "use_gscb" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[train]\nsteps = 0\n", "line 2: steps must be at least 1, got '0'"),
     ("[train]\nbatch_pairs = 0\n",
@@ -511,6 +570,35 @@ def test_bad_config_value_names_line_and_key(pipeline, tmp_path, capsys,
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_names_its_path(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[train]\nsteps = 2\n# caf\xe9\n")
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", str(cfg),
+                     "--manifest", pipeline["manifest"], "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{cfg} is not valid UTF-8 (byte 0xe9 at byte 23)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_utf8_manifest_names_its_path(pipeline, tmp_path, capsys):
+    blob = open(pipeline["manifest"], "rb").read()
+    cut = blob.index(b"\n") + 1
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(blob[:cut] + b"\xff" + blob[cut:])
+    out = tmp_path / "e.bin"
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"],
+                     "--manifest", str(bad), "--split", "train",
+                     "--view", "both", "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad} is not valid UTF-8 (byte 0xff at byte {cut})" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

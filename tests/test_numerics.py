@@ -1,6 +1,7 @@
 """Kernel contracts: shapes, worked values, and elementary identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ def test_conv_channel_mismatch_rejected(rng):
         ops.conv2d(x, w)
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 5), (2, 1, 3, 5, 5)])
+def test_conv_needs_batched_input(rng, shape):
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    with pytest.raises(ops.ShapeError, match=re.escape(str(shape))):
+        ops.conv2d(Tensor(np.zeros(shape)), w)
+
+
 def test_conv_grouped_matches_per_group_conv(rng):
     x = Tensor(rng.normal(size=(1, 4, 5, 5)))
     w = Tensor(rng.normal(size=(6, 2, 3, 3)))
@@ -126,7 +134,7 @@ CONV_CASES = {
     "dil3": ((2, 4, 7, 7), (3, 4, 3, 3), False, 1, 3, 3, 1),
     "fsab_dw3": ((2, 4, 4, 3), (4, 1, 3, 3), False, 1, 1, 1, 4),
     "grouped": ((2, 4, 5, 5), (6, 2, 3, 3), False, 1, 1, 1, 2),
-    "bias_unbatched": ((3, 6, 5), (4, 3, 3, 3), True, 1, 1, 1, 1),
+    "bias": ((1, 3, 6, 5), (4, 3, 3, 3), True, 1, 1, 1, 1),
 }
 
 
@@ -147,18 +155,13 @@ def test_conv_matches_direct_loop_oracle(kind, dtype):
         loss = ops.sum_(ops.mul(y, Tensor(g)))
     tape.backward(loss)
 
-    if x.ndim == 4:
-        ref_y, ref_gx, ref_gw = _conv_oracle(x, w, g, s, p, d, groups)
-    else:
-        ref_y, ref_gx, ref_gw = _conv_oracle(x[None], w, g[None], s, p, d,
-                                             groups)
-        ref_y, ref_gx = ref_y[0], ref_gx[0]
+    ref_y, ref_gx, ref_gw = _conv_oracle(x, w, g, s, p, d, groups)
     got = {"y": y.data, "dx": tape.grad(xt), "dw": tape.grad(wt)}
     ref = {"y": ref_y, "dx": ref_gx, "dw": ref_gw}
     if with_bias:
         got["db"] = tape.grad(bt)
         ref["y"] = ref["y"] + b[:, None, None]
-        ref["db"] = g.astype(np.float64).sum(axis=(-2, -1))
+        ref["db"] = g.astype(np.float64).sum(axis=(0, 2, 3))
     tol = 1e-5 if dtype == np.float32 else 1e-12
     for name, want in ref.items():
         assert got[name].dtype == dtype, name

@@ -137,6 +137,56 @@ def test_every_taped_op_has_one_output():
     assert not found
 
 
+def cross_module_rebinds(text):
+    """Line numbers where `text` assigns to, deletes or `setattr`s an
+    attribute reached from a name it imported from the `sfde` package
+    (relatively or by name)."""
+    tree = ast.parse(text)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "sfde"):
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names
+                            if a.name.split(".")[0] == "sfde")
+
+    def is_imported(n):
+        while isinstance(n, ast.Attribute):
+            n = n.value
+        return isinstance(n, ast.Name) and n.id in imported
+
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and is_imported(n.value)
+            and isinstance(n.ctx, (ast.Store, ast.Del)))
+        or (isinstance(n, ast.Call) and getattr(n.func, "id", None)
+            in ("setattr", "delattr") and n.args and is_imported(n.args[0])))
+
+
+def test_cross_module_rebind_detector():
+    text = ("from . import spectral\nfrom .autodiff import Tensor as T\n"
+            "import sfde.ops\nimport numpy as np\n"
+            "spectral.irfft2 = None\nT.x += 1\nsfde.ops.y = 2\n"
+            "np.z = 3\nsetattr(spectral, 'k', 4)\ndel T.x\n"
+            "spectral.x.y = 5\nlocal = spectral.irfft2\nlocal.z = 6\n")
+    assert cross_module_rebinds(text) == [5, 6, 7, 9, 10, 11]
+
+
+def test_no_module_rebinds_another():
+    """A module changes no other module's globals or classes: a fault is
+    injected from outside the package (a test's `monkeypatch`), never
+    through a switch that the shipped code carries."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            lines = cross_module_rebinds(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert not found
+
+
 def metadata_reads(text):
     """Line numbers where `text` reads an attribute named `metadata`."""
     return sorted(n.lineno for n in ast.walk(ast.parse(text))
