@@ -101,6 +101,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _count(least):
+    """An int flag value of at least `least`; below it is a usage error."""
+    def parse(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse's "invalid int value" for a non-int
+    return parse
+
+
 def build_parser():
     parser = _Parser(prog="sfde")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -111,10 +122,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a procedural paired-view dataset")
     p.add_argument("--root", required=True)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--drone", type=int, default=2)
-    p.add_argument("--satellite", type=int, default=1)
-    p.add_argument("--size", type=int, default=128)
+    p.add_argument("--classes", type=_count(1), default=8)
+    p.add_argument("--drone", type=_count(1), default=2)
+    p.add_argument("--satellite", type=_count(1), default=1)
+    p.add_argument("--size", type=_count(2), default=128)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synth)
 

@@ -303,24 +303,58 @@ def _conv_out_size(n, k, stride, padding, dilation):
     return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
-def _tap_product(a, b):
-    """`a @ b` over the channel axis; a broadcast multiply when that axis has
-    length 1 (depthwise convs), which gives the same bits as the matmul."""
-    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
+def _banded_rows(xp, wg, s, d, Ho, Wo):
+    """Conv with one input channel per group (depthwise, or a channel
+    multiplier) as one batched matmul per kernel row.
+
+    Kernel row a reads the padded rows that meet it, (N, G, Ho, Wp), and
+    multiplies them by a banded (G, Wp, Og*Wo) Toeplitz matrix whose entry
+    (g, j*s + b*d, o*Wo + j) is w[g*Og + o, 0, a, b]. dX is the gradient
+    times the band's transpose, added back at the same rows; dW[..., a, b]
+    is the band diagonal (j*s + b*d, j) of rows^T @ gradient, summed over N.
+    Returns the (N, G, Og, Ho, Wo) output and the map from its gradient to
+    (d xp, d wg).
+    """
+    N, G, _, Wp = xp.shape
+    _, Og, _, Kh, Kw = wg.shape
+    j = np.arange(Wo)
+    cols = j * s + np.arange(Kw)[:, None] * d  # (Kw, Wo): column of tap b
+    band = np.zeros((Kh, G, Wp, Og, Wo), dtype=wg.dtype)
+    band[:, :, cols, :, j] = np.transpose(wg[:, :, 0], (3, 2, 0, 1))[:, None]
+    band = band.reshape(Kh, G, Wp, Og * Wo)
+    rows = [slice(a * d, a * d + s * (Ho - 1) + 1, s) for a in range(Kh)]
+
+    out = np.matmul(xp[:, :, rows[0]], band[0])
+    for a in range(1, Kh):
+        out += np.matmul(xp[:, :, rows[a]], band[a])
+
+    def bwd(g):
+        go = g.reshape(N, G, Og, Ho, Wo).transpose(0, 1, 3, 2, 4)
+        go = go.reshape(N, G, Ho, Og * Wo)
+        # contiguous: matmul on the transposed view ran about 1.6x slower
+        band_t = np.ascontiguousarray(np.swapaxes(band, -1, -2))
+        gxp = np.zeros_like(xp)
+        gw = np.empty(wg.shape, dtype=np.result_type(g, xp))
+        for a in range(Kh):
+            gxp[:, :, rows[a]] += np.matmul(go, band_t[a])
+            m = np.matmul(np.swapaxes(xp[:, :, rows[a]], -1, -2), go)
+            m = m.sum(axis=0).reshape(G, Wp, Og, Wo)
+            gw[:, :, 0, a] = m[:, cols, :, j].sum(axis=1).transpose(1, 2, 0)
+        return gxp, gw
+
+    return out.reshape(N, G, Ho, Og, Wo).transpose(0, 1, 3, 2, 4), bwd
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     """2-D cross-correlation. x: (N,C,H,W); w: (O, C/groups, K, K).
 
     With stride 1 and padding = dilation*(K-1)/2 (K odd) the spatial size is
-    preserved.
-
-    One loop over the Kh*Kw taps computes forward, dW and dX. Tap (a, b)
-    reads the strided slice of the padded input that meets kernel element
-    (a, b) at every output position, and contracts it with the per-group
-    weights as one (G, Og, Cg) x (N, G, Cg, Ho*Wo) product; no patch tensor
-    is built. A 1x1 conv is one matmul and a depthwise conv a broadcast
-    multiply per tap.
+    preserved. No patch (im2col) tensor is built: a conv with one input
+    channel per group is K banded row matmuls (`_banded_rows`); any other is
+    one loop over the Kh*Kw taps for forward, dW and dX. Tap (a, b) is the
+    strided slice of the padded input that meets kernel element (a, b) at
+    every output position, contracted with the per-group weights as one
+    (G, Og, Cg) x (N, G, Cg, Ho*Wo) matmul. A 1x1 conv is one matmul.
     """
     if x.ndim != 4:
         raise ShapeError(
@@ -341,38 +375,44 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     G, Og = groups, O // groups
     wg = w.data.reshape(G, Og, Cg, Kh, Kw)
-    taps = [(a_, b_, slice(a_ * d, a_ * d + s * (Ho - 1) + 1, s),
-             slice(b_ * d, b_ * d + s * (Wo - 1) + 1, s))
-            for a_ in range(Kh) for b_ in range(Kw)]
+    if Cg == 1:
+        out_d, grads = _banded_rows(xp, wg, s, d, Ho, Wo)
+    else:
+        taps = [(a_, b_, slice(a_ * d, a_ * d + s * (Ho - 1) + 1, s),
+                 slice(b_ * d, b_ * d + s * (Wo - 1) + 1, s))
+                for a_ in range(Kh) for b_ in range(Kw)]
 
-    def x_tap(rows, cols):
-        return xp[:, :, rows, cols].reshape(N, G, Cg, Ho * Wo)
+        def x_tap(rows, cols):
+            return xp[:, :, rows, cols].reshape(N, G, Cg, Ho * Wo)
 
-    terms = (_tap_product(wg[..., a_, b_], x_tap(rows, cols))
-             for a_, b_, rows, cols in taps)
-    out_d = next(terms)
-    for term in terms:
-        out_d += term
+        terms = (np.matmul(wg[..., a_, b_], x_tap(rows, cols))
+                 for a_, b_, rows, cols in taps)
+        out_d = next(terms)
+        for term in terms:
+            out_d += term
+
+        def grads(g):
+            go = g.reshape(N, G, Og, Ho * Wo)
+            wt = np.swapaxes(wg, 1, 2)
+            gw = np.empty(wg.shape, dtype=np.result_type(go, xp))
+            gxp = np.zeros_like(xp)
+            for a_, b_, rows, cols in taps:
+                gw[..., a_, b_] = np.matmul(
+                    go, np.swapaxes(x_tap(rows, cols), -1, -2)).sum(axis=0)
+                gxp[:, :, rows, cols] += np.matmul(
+                    wt[..., a_, b_], go).reshape(N, C, Ho, Wo)
+            return gxp, gw
     out_d = out_d.reshape(N, O, Ho, Wo)
     if b is not None:
         out_d = out_d + b.data[:, None, None]
     out = Tensor(out_d)
 
     def bwd(g):
-        go = g.reshape(N, G, Og, Ho * Wo)
-        wt = np.swapaxes(wg, 1, 2)
-        gw = np.empty(wg.shape, dtype=np.result_type(go, xp))
-        gxp = np.zeros_like(xp)
-        for a_, b_, rows, cols in taps:
-            gw[..., a_, b_] = np.matmul(
-                go, np.swapaxes(x_tap(rows, cols), -1, -2)).sum(axis=0)
-            gxp[:, :, rows, cols] += _tap_product(
-                wt[..., a_, b_], go).reshape(N, C, Ho, Wo)
+        gxp, gw = grads(g)
         gw = gw.reshape(O, Cg, Kh, Kw)
-        gb = g.sum(axis=(0, 2, 3)) if b is not None else None
         gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
         if b is not None:
-            return (gx, gw, gb)
+            return (gx, gw, g.sum(axis=(0, 2, 3)))
         return (gx, gw)
 
     record(out, [x, w] + ([b] if b is not None else []), bwd)

@@ -488,6 +488,19 @@ def test_usage_error_is_validation_error(capsys, argv):
     assert "usage: sfde" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--classes", "0", 1), ("--drone", "0", 1), ("--satellite", "0", 1),
+    ("--size", "1", 2)])
+def test_synth_count_that_makes_no_dataset_is_validation_error(
+        tmp_path, capsys, flag, value, least):
+    root = tmp_path / "data"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["synth", "--root", str(root), flag, value])
+    assert exit_.value.code == cli.EXIT_VALIDATION
+    assert f"argument {flag}: must be at least {least}" in capsys.readouterr().err
+    assert not root.exists()
+
+
 def test_help_exits_ok(capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["train", "--help"])

@@ -123,7 +123,9 @@ def _conv_oracle(x, w, g, stride, padding, dilation, groups):
 
 
 # x shape, w shape, bias, stride, padding, dilation, groups: every conv kind
-# the model runs, plus a grouped conv with several channels per group.
+# the model runs, plus a grouped conv with several channels per group and the
+# banded depthwise form (one input channel per group) under stride, dilation,
+# a channel multiplier, bias and an input narrower than the kernel.
 CONV_CASES = {
     "dw7": ((2, 4, 9, 9), (4, 1, 7, 7), False, 1, 3, 1, 4),
     "pw1": ((2, 5, 6, 6), (3, 5, 1, 1), False, 1, 0, 1, 1),
@@ -135,6 +137,11 @@ CONV_CASES = {
     "fsab_dw3": ((2, 4, 4, 3), (4, 1, 3, 3), False, 1, 1, 1, 4),
     "grouped": ((2, 4, 5, 5), (6, 2, 3, 3), False, 1, 1, 1, 2),
     "bias": ((1, 3, 6, 5), (4, 3, 3, 3), True, 1, 1, 1, 1),
+    "dw_stride2": ((2, 4, 9, 10), (4, 1, 3, 3), False, 2, 1, 1, 4),
+    "dw_dil2": ((2, 4, 7, 8), (4, 1, 3, 3), False, 1, 2, 2, 4),
+    "dw_multiplier": ((2, 4, 6, 5), (8, 1, 3, 3), False, 1, 1, 1, 4),
+    "dw_bias": ((2, 4, 6, 5), (4, 1, 3, 3), True, 1, 1, 1, 4),
+    "dw7_narrow": ((2, 4, 5, 3), (4, 1, 7, 7), False, 1, 3, 1, 4),
 }
 
 
