@@ -6,8 +6,7 @@ data), `[train]` is `TrainConfig` and `[loss]` is `LossWeights`; a key's type
 is its default's, and a field's metadata may bound it (`min`, `max`) or list
 its values (`choices`). `parse_config` applies `_check_value` to each
 value, naming the line; each section and `RunConfig` apply it to every field
-when built, from a file, a checkpoint header or code. Parsing then
-re-serializing is idempotent.
+when built, from a file, a checkpoint header or code.
 """
 
 from __future__ import annotations
@@ -221,21 +220,6 @@ def parse_config(text) -> RunConfig:
         except ValueError as e:
             raise ConfigError(f"line {lineno}: {key} {e}, got {raw!r}") from None
     return RunConfig(**values)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for section, fs in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        for f in fs:
-            val = getattr(cfg, f.name)
-            if type(f.default) is tuple:
-                val = ",".join(str(v) for v in val)
-            elif isinstance(val, bool):
-                val = "true" if val else "false"
-            lines.append(f"{f.name} = {val}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def load_config(path) -> RunConfig:

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import sfde
 from sfde import cli, data, retrieval, selftest, spectral
 from sfde.autodiff import Tensor
 from sfde.model import ModelConfig, SFDEModel, save_checkpoint
+from sfde.train import EMBED_BATCH
 
 
 CFG = """
@@ -664,6 +666,43 @@ def test_embed_empty_image_is_validation_error(pipeline, tmp_path, capsys,
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"{entry.path}: bad dimensions" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing_first", [True, False])
+def test_embed_decode_errors_stay_in_manifest_order(pipeline, tmp_path, capsys,
+                                                    missing_first):
+    """A missing image in the third chunk and a truncated one in the fourth,
+    or the other way round: the helper thread decodes a chunk ahead, yet
+    the fault first in manifest order decides the exit code, and no thread
+    outlives the command."""
+    train_entries = data.load_manifest(pipeline["manifest"]).subset("train")
+    entries = [data.ManifestEntry(f"e{i:03d}", e.path, e.view, e.class_id,
+                                  "train")
+               for i, e in enumerate(train_entries * (
+                   4 * EMBED_BATCH // len(train_entries) + 1))]
+    missing = str(tmp_path / "missing.ppm")
+    truncated = str(tmp_path / "truncated.ppm")
+    open(truncated, "wb").write(b"P6 4 4 255\n" + bytes(47))
+    faults = [missing, truncated] if missing_first else [truncated, missing]
+    entries[2 * EMBED_BATCH + 5].path = faults[0]
+    entries[3 * EMBED_BATCH + 5].path = faults[1]
+    bad = str(tmp_path / "faults.csv")
+    data.save_manifest(data.DatasetManifest(entries), bad)
+    out = tmp_path / "e.bin"
+    threads = threading.active_count()
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
+                     "--split", "train", "--view", "both", "--out", str(out)])
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    if missing_first:
+        assert code == cli.EXIT_IO
+        assert missing in err
+    else:
+        assert code == cli.EXIT_VALIDATION
+        assert f"{truncated}: truncated pixel payload" in err
+    assert faults[1] not in err
     assert "Traceback" not in err
     assert not out.exists()
 

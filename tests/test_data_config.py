@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sfde import data
-from sfde.config import ConfigError, RunConfig, parse_config, serialize_config
+from sfde.config import (ConfigError, LossWeights, RunConfig, TrainConfig,
+                         parse_config)
 from sfde.model import ModelConfig
 from sfde.train import cosine_warmup_lr
 
@@ -150,6 +151,26 @@ def test_synthetic_generator_deterministic(tmp_path):
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
+
+def serialize_config(cfg):
+    """`cfg` as the text of a config file: each section's keys in field
+    order, as `parse_config` reads them."""
+    lines = []
+    for section, schema in (("model", ModelConfig), ("train", TrainConfig),
+                            ("loss", LossWeights)):
+        lines.append(f"[{section}]")
+        for f in fields(schema):
+            if f.name == "num_classes":  # set by training, not a key
+                continue
+            val = getattr(cfg, f.name)
+            if type(f.default) is tuple:
+                val = ",".join(str(v) for v in val)
+            elif isinstance(val, bool):
+                val = "true" if val else "false"
+            lines.append(f"{f.name} = {val}")
+        lines.append("")
+    return "\n".join(lines)
+
 
 def test_config_roundtrip_idempotent():
     cfg = RunConfig(stage_channels=(4, 8, 8, 16), steps=17,

@@ -2,12 +2,15 @@
 
 import re
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sfde import data, losses, ops, retrieval
+from sfde import train as train_module
 from sfde.autodiff import Parameter, Tape, Tensor
 from sfde.config import ConfigError, RunConfig
 from sfde.layers import Module
@@ -354,21 +357,22 @@ def test_train_fixed_seed_is_bit_deterministic(synth_dataset, tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_batched_extraction_equals_one_image_at_a_time(synth_dataset, dtype):
-    _, manifest = synth_dataset
-    entries = manifest.subset(view=None)
-    # one full chunk, one partial chunk, both views
-    assert EMBED_BATCH < len(entries) < 2 * EMBED_BATCH
-    assert {e.view for e in entries[:EMBED_BATCH]} == {"drone", "satellite"}
+NORM = (np.array([0.45, 0.5, 0.4], dtype=np.float32),
+        np.array([0.2, 0.25, 0.3], dtype=np.float32))
+
+
+def eval_ready_model(dtype):
+    """A toy model whose every BN's running stats are moved off their init."""
     model = toy_model(dtype=dtype, seed=3)
     rng = np.random.default_rng(3)
-    for _ in range(3):  # move every BN's running stats off their init
+    for _ in range(3):
         model(Tensor(rng.normal(0.3, 2.0, size=(2, 3, 128, 128))
                      .astype(dtype)), training=True)
-    mean = np.array([0.45, 0.5, 0.4], dtype=np.float32)
-    std = np.array([0.2, 0.25, 0.3], dtype=np.float32)
+    return model
 
+
+def assert_records_are_one_image_at_a_time(model, entries, dtype):
+    mean, std = NORM
     reference = []
     for e in entries:
         img = standardize(data.load_image(e.path, 128), mean, std)
@@ -378,10 +382,71 @@ def test_batched_extraction_equals_one_image_at_a_time(synth_dataset, dtype):
             out.freq_map.data[0], p_local=float(model.pool_p_local.data),
             p_freq=float(model.pool_p_freq.data)))
 
-    records = extract_embeddings(model, (mean, std), entries, 128)
+    records = extract_embeddings(model, NORM, entries, 128)
     assert [(r.id, r.view, r.class_id) for r in records] == \
         [(e.id, e.view, e.class_id) for e in entries]
     for r, ref in zip(records, reference):
         assert r.vector.dtype == np.float32
         assert np.array_equal(r.vector, ref), r.id
-    assert extract_embeddings(model, (mean, std), [], 128) == []
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_batched_extraction_equals_one_image_at_a_time(synth_dataset, dtype):
+    _, manifest = synth_dataset
+    entries = manifest.subset(view=None)
+    # one full chunk, one partial chunk, both views
+    assert EMBED_BATCH < len(entries) < 2 * EMBED_BATCH
+    assert {e.view for e in entries[:EMBED_BATCH]} == {"drone", "satellite"}
+    model = eval_ready_model(dtype)
+    assert_records_are_one_image_at_a_time(model, entries, dtype)
+    assert extract_embeddings(model, NORM, [], 128) == []
+
+
+@pytest.fixture(scope="module")
+def three_chunk_entries(tmp_path_factory):
+    """2 full chunks and a partial one, both views in every chunk."""
+    root = str(tmp_path_factory.mktemp("chunks") / "data")
+    manifest = data.generate_synthetic_dataset(
+        root, num_classes=12, drone_per_class=2, satellite_per_class=1,
+        size=64, seed=1)
+    entries = manifest.subset(view=None)[:2 * EMBED_BATCH + 3]
+    assert len(entries) == 2 * EMBED_BATCH + 3
+    for start in range(0, len(entries), EMBED_BATCH):
+        chunk = entries[start:start + EMBED_BATCH]
+        assert {e.view for e in chunk} == {"drone", "satellite"}
+    return entries
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_decode_ahead_over_three_chunks_equals_one_image_at_a_time(
+        three_chunk_entries, dtype):
+    """The second and third chunks each decode while a forward pass runs,
+    and the last chunk is partial."""
+    assert_records_are_one_image_at_a_time(
+        eval_ready_model(dtype), three_chunk_entries, dtype)
+
+
+def test_extraction_error_joins_the_decode_thread(three_chunk_entries,
+                                                  monkeypatch):
+    """A failure on the calling thread after the first forward pass: the
+    helper decodes no more than the one chunk ahead, the error propagates
+    and no thread outlives the call."""
+    decoded = []
+
+    def counting_load(path, size):
+        decoded.append(path)
+        return data.load_image(path, size)
+
+    def failing_assemble(*args, **kwargs):
+        time.sleep(0.3)  # time for the helper to run further ahead, if it can
+        raise FloatingPointError(f"injected after {len(decoded)} decodes")
+
+    monkeypatch.setattr(train_module, "load_image", counting_load)
+    monkeypatch.setattr(retrieval, "assemble_embedding", failing_assemble)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError,
+                       match=f"injected after {2 * EMBED_BATCH} decodes"):
+        extract_embeddings(eval_ready_model("float32"), NORM,
+                           three_chunk_entries, 128)
+    assert threading.active_count() == threads
+    assert len(decoded) == 2 * EMBED_BATCH

@@ -220,3 +220,46 @@ def test_every_numeric_config_field_has_a_lower_bound():
                if type(f.default) in (int, float, tuple)
                and "min" not in f.metadata]
     assert missing == []
+
+
+CONCURRENCY_MODULES = ("threading", "_thread", "concurrent", "multiprocessing")
+
+
+def concurrency_imports(text):
+    """Line numbers of absolute imports of `threading`, `_thread`,
+    `concurrent` or `multiprocessing`, or of any of their submodules."""
+    found = []
+    for n in ast.walk(ast.parse(text)):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            names = [n.module]
+        else:
+            continue
+        if any(name.split(".")[0] in CONCURRENCY_MODULES for name in names):
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_concurrency_import_detector():
+    text = ("import os\nimport threading\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import numpy as np, multiprocessing.pool as mp\n"
+            "from concurrent import futures\nfrom . import threading_x\n"
+            "import threadingx\nimport _thread\n")
+    assert concurrency_imports(text) == [2, 3, 4, 5, 8]
+
+
+def test_only_train_imports_concurrency():
+    """Threads, thread pools and processes are started in `train.py` alone
+    (the decode-ahead of `extract_embeddings`), so no model code runs off
+    the calling thread unnoticed."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "train.py":
+            continue
+        with open(path) as fh:
+            lines = concurrency_imports(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert not found
