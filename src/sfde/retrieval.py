@@ -63,8 +63,9 @@ class RetrievalReport:
     """Metrics plus the full ranking of every query, as arrays.
 
     The ranking is exact: one float64 score matrix `Q @ G.T`, each row in
-    descending score order with ties broken by ascending gallery id, so
-    it holds O(Q x G) memory. Row i of `order` holds indices into
+    descending score order with ties broken by ascending gallery id (ranked
+    a block of queries at a time by `cosine_topk`), so it holds O(Q x G)
+    memory. Row i of `order` holds indices into
     `gallery_ids`, best first, for query `query_ids[i]`; row i of `scores`
     holds the matching scores.
     """
@@ -116,6 +117,11 @@ def _gem_np(feature_map, p):
 # ranking and metrics
 # ---------------------------------------------------------------------------
 
+# cosine_topk sorts about this many scores at a time, so the temporaries of
+# a block of queries stay at a few MB
+_RANK_BLOCK_SCORES = 1 << 16
+
+
 def cosine_topk(queries, gallery, k):
     """Top-k gallery records by dot product for an (Nq, D) block of query
     vectors (all vectors unit-norm).
@@ -123,8 +129,14 @@ def cosine_topk(queries, gallery, k):
     Exact brute-force search: the scores are one float64 matrix product
     `Q @ G.T`, in which every product of float32 values is exact, and each
     row is ordered by descending score, ties by ascending id, so rankings
-    are reproducible. It holds O(Q x G) memory. Returns `(order, scores)`,
-    two (Nq, k) arrays of gallery indices and their scores.
+    are reproducible. The product is formed once for all queries: OpenBLAS
+    sums a row block's dot products in an order that depends on the
+    block's shape, so row-block products could differ in the last bit.
+    Rows are then ranked a block of about `_RANK_BLOCK_SCORES` scores at a
+    time (see `_rank_block`), each block's ranked scores overwriting its
+    rows of the score matrix, so it holds two Nq x G arrays at its peak.
+    Returns `(order, scores)`, two (Nq, k) arrays of gallery indices and
+    their scores; `scores` is a view of the score matrix.
     """
     if not gallery:
         raise ValueError("empty gallery")
@@ -134,12 +146,41 @@ def cosine_topk(queries, gallery, k):
                      dtype=np.intp)
     vectors = np.array([gallery[i].vector for i in by_id], dtype=np.float64)
     scores = np.asarray(queries, dtype=np.float64) @ vectors.T
-    # a stable sort over id-ordered columns breaks score ties by id
-    ranks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    # gathering the scores first frees the unsorted ones before `order` is
-    # built: three (Q, G) arrays are live at once, not four
-    scores = np.take_along_axis(scores, ranks, axis=1)
-    return by_id[ranks], scores
+    order = np.empty((len(scores), k), dtype=np.intp)
+    step = max(1, _RANK_BLOCK_SCORES // len(gallery))
+    for start in range(0, len(scores), step):
+        rows = slice(start, start + step)
+        # a block's ranked scores overwrite its own rows, which are read only
+        # while that block is ranked
+        cols, scores[rows, :k] = _rank_block(scores[rows], k)
+        order[rows] = by_id[cols]
+    return order, scores[:, :k]
+
+
+def _rank_block(scores, k):
+    """The first k columns of each row of `scores` in descending score
+    order, ties by ascending column, and their scores: the same as
+    `np.argsort(-scores, axis=1, kind="stable")[:, :k]`, NaNs last.
+
+    The default (SIMD) argsort is several times faster than the stable one
+    but leaves equal scores in any order. So each row is cut into segments
+    of equal sorted values (two NaNs count as equal) and the int64 key
+    `segment * n + column`, n the row length, is sorted, which orders each
+    segment by column.
+    The scores are gathered from `scores` through the repaired columns: a
+    segment that holds +0.0 and -0.0 keeps each zero with its column."""
+    n = scores.shape[1]
+    cols = np.argsort(-scores, axis=1)
+    ranked = np.take_along_axis(scores, cols, axis=1)
+    new = ranked[:, 1:] != ranked[:, :-1]
+    new &= ~(np.isnan(ranked[:, 1:]) & np.isnan(ranked[:, :-1]))
+    key = np.zeros(scores.shape, dtype=np.int64)
+    np.cumsum(new, axis=1, out=key[:, 1:])
+    key *= n
+    key += cols
+    key.sort(axis=1)
+    cols = key[:, :k] % n
+    return cols, np.take_along_axis(scores, cols, axis=1)
 
 
 def average_precision(ranked_ids, relevant):
@@ -182,8 +223,13 @@ def evaluate(queries, gallery, k_values):
     block = np.array([q.vector for q in queries], dtype=np.float64)
     block = block.reshape(len(queries), len(gallery[0].vector))
     order, scores = cosine_topk(block, gallery, len(gallery))
-    qcls = np.array([q.class_id for q in queries], dtype=np.int64)
-    gcls = np.array([r.class_id for r in gallery], dtype=np.int64)
+    # classes as int32 codes that compare equal when the classes do, so the
+    # (Q, G) gather of gallery classes is half the size of an int64 one
+    codes = {}
+    gcls = np.array([codes.setdefault(r.class_id, len(codes)) for r in gallery],
+                    dtype=np.int32)
+    qcls = np.array([codes.get(q.class_id, -1) for q in queries],
+                    dtype=np.int32)
     rel = gcls[order] == qcls[:, None]
     rel = rel[rel.any(axis=1)]
     aps = [_ap_at(np.flatnonzero(row)) for row in rel]

@@ -395,9 +395,17 @@ def _csv_rows(*columns):
     return raw[raw != 0].tobytes()
 
 
-# about this many CSV rows are built at a time, so the temporaries of a
-# block of queries stay at a few MB
-_REPORT_BLOCK_ROWS = 1 << 15
+# about this many CSV rows are built at a time by each of the two writers,
+# so the temporaries of the two blocks in flight stay at a few MB
+_REPORT_BLOCK_ROWS = 1 << 14
+
+
+def _write_csv(path, header, blocks, fields):
+    """A CSV file: `header`, then the rows of `fields(rows)` for each block."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for rows in blocks:
+            fh.write(_csv_rows(*fields(rows)))
 
 
 def write_reports(report, queries, gallery, out_dir):
@@ -409,7 +417,13 @@ def write_reports(report, queries, gallery, out_dir):
     The rankings and distances CSVs are UTF-8 bytes built by numpy, a block
     of queries at a time; each score and distance field is the correctly
     rounded `%.8f` of its float64 value, as Python's `f"{v:.8f}"` gives.
-    An id holding NUL is a `ValueError`."""
+    One helper thread writes the distances CSV while the calling thread
+    writes the rankings CSV, so the two files share the machine's cores;
+    neither file's bytes depend on how the threads interleave. On any error
+    the helper is joined before the error propagates; an error in the
+    rankings CSV (an interrupt included) wins over one in the distances CSV
+    and stops the helper after the block it is writing. An id holding NUL
+    is a `ValueError`, raised before the helper starts."""
     os.makedirs(out_dir, exist_ok=True)
     rank_path = os.path.join(out_dir, "retrieval_rankings.csv")
     summary_path = os.path.join(out_dir, "retrieval_summary.csv")
@@ -429,16 +443,39 @@ def write_reports(report, queries, gallery, out_dir):
     scores = np.asarray(report.scores, dtype=np.float64).reshape(order.shape)
     by_id = sorted(range(len(qids)), key=qids.__getitem__)
     step = max(1, _REPORT_BLOCK_ROWS // max(1, len(gids)))
-    with open(rank_path, "wb") as rank_fh, open(hist_path, "wb") as hist_fh:
-        rank_fh.write(b"query_id,rank,gallery_id,score\n")
-        hist_fh.write(b"query_id,gallery_id,pair,cosine_distance\n")
-        for start in range(0, len(by_id), step):
-            rows = by_id[start:start + step]
-            o, s, q = order[rows], scores[rows], qfields[rows][:, None]
-            g = gfields[o]
-            rank_fh.write(_csv_rows(q, ranks, g, _fixed8(s)))
-            pair = _PAIRS[(gcode[o] == qcode[rows, None]).astype(np.intp)]
-            hist_fh.write(_csv_rows(q, g, pair, _fixed8(1.0 - s)))
+    blocks = [by_id[start:start + step] for start in range(0, len(by_id), step)]
+
+    def rank_fields(rows):
+        return (qfields[rows][:, None], ranks, gfields[order[rows]],
+                _fixed8(scores[rows]))
+
+    def distance_fields(rows):
+        o = order[rows]
+        pair = _PAIRS[(gcode[o] == qcode[rows, None]).astype(np.intp)]
+        return (qfields[rows][:, None], gfields[o], pair,
+                _fixed8(1.0 - scores[rows]))
+
+    failed = False
+
+    def distance_blocks():
+        for rows in blocks:
+            if failed:
+                return
+            yield rows
+
+    # imported here for the reason given in `extract_embeddings`
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        distances = pool.submit(
+            _write_csv, hist_path, b"query_id,gallery_id,pair,cosine_distance\n",
+            distance_blocks(), distance_fields)
+        try:
+            _write_csv(rank_path, b"query_id,rank,gallery_id,score\n", blocks,
+                       rank_fields)
+        except BaseException:
+            failed = True       # the helper stops after its current block
+            raise
+        distances.result()
     with open(summary_path, "w") as fh:
         fh.write("metric,K,value\n")
         for k in sorted(report.recall_at):

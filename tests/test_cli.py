@@ -123,6 +123,29 @@ def test_eval_writes_reports(pipeline, capsys):
     assert "positive" in distances and "negative" in distances
 
 
+@pytest.mark.parametrize("blocked", [
+    ["retrieval_distances.csv"],
+    ["retrieval_rankings.csv"],
+    ["retrieval_rankings.csv", "retrieval_distances.csv"]])
+def test_eval_report_path_taken_by_a_directory_is_io_error(pipeline, tmp_path,
+                                                           capsys, blocked):
+    """A CSV path that is a directory: exit 3 naming it, no traceback, and no
+    thread outlives the command. The distances CSV is written on a helper
+    thread; when both CSVs fail, the rankings path is the one named."""
+    out_dir = tmp_path / "report"
+    for name in blocked:
+        (out_dir / name).mkdir(parents=True)
+    threads = threading.active_count()
+    code = cli.main(["eval", "--query", pipeline["query"], "--gallery",
+                     pipeline["gallery"], "--k", "1", "--out", str(out_dir)])
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert str(out_dir / blocked[0]) in err
+    assert all(str(out_dir / name) not in err for name in blocked[1:])
+    assert "Traceback" not in err
+
+
 def test_eval_k_exceeding_gallery_is_validation_error(pipeline):
     code = cli.main(["eval", "--query", pipeline["query"],
                      "--gallery", pipeline["gallery"],

@@ -1,8 +1,11 @@
 """Descriptor assembly, ranking, metric oracles, and the embedding store."""
 
+import concurrent.futures
 import csv
 import os
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +137,48 @@ def test_topk_block_matches_single_query_rows(rng):
             assert row_scores.tolist() == single_scores
 
 
+def test_rank_block_matches_stable_argsort():
+    """The default argsort plus the tie repair gives the stable sort's order
+    and score bits, on runs of equal values, signed zeros, NaNs of either
+    sign, infinities and all-equal rows, for k below and at G."""
+    rng = np.random.default_rng(7)
+    values = np.array([0.5, -0.5, 0.25, 0.0, -0.0, np.nan, -np.nan, np.inf,
+                       -np.inf, 1.0])
+    rows = [values[rng.integers(len(values), size=23)] for _ in range(300)]
+    rows += [np.full(23, v) for v in values]
+    rows += [rng.permutation(23) / 8, (rng.integers(2, size=23) - 1) * 0.0]
+    scores = np.stack(rows)
+    ref = np.argsort(-scores, axis=1, kind="stable")
+    for k in (1, 2, 7, 22, 23):
+        order, top = retrieval._rank_block(scores, k)
+        assert np.array_equal(order, ref[:, :k])
+        assert np.array_equal(
+            top.view(np.int64),
+            np.take_along_axis(scores, ref[:, :k], axis=1).view(np.int64))
+
+
+@pytest.mark.parametrize("k", [1, 7, 30])
+def test_topk_in_blocks_matches_sort_oracle(rng, monkeypatch, k):
+    """Ranked three query rows at a time, so 8 queries take 3 blocks: every
+    row is the (-score, id) sort of the exact scores."""
+    gallery = tied_records(rng, 30, 5, "g")
+    queries = tied_records(rng, 8, 5, "q")
+    monkeypatch.setattr(retrieval, "_RANK_BLOCK_SCORES", 3 * len(gallery))
+    order, scores = retrieval.cosine_topk(
+        np.stack([q.vector for q in queries]), gallery, k)
+    assert order.shape == scores.shape == (8, k)
+    ties = 0
+    for q, row, row_scores in zip(queries, order, scores):
+        q64 = q.vector.astype(np.float64)
+        exact = {g.id: float(q64 @ g.vector.astype(np.float64))
+                 for g in gallery}
+        ties += len(exact) - len(set(exact.values()))
+        ref = sorted(gallery, key=lambda r: (-exact[r.id], r.id))[:k]
+        assert [gallery[j].id for j in row] == [r.id for r in ref]
+        assert row_scores.tolist() == [exact[r.id] for r in ref]
+    assert ties > 0
+
+
 def test_topk_validation():
     with pytest.raises(ValueError):
         retrieval.cosine_topk(np.ones((1, 2)), [], 1)
@@ -221,6 +266,25 @@ def test_evaluate_counts_skipped_queries(rng):
     assert report.recall_at[1] == 1.0
 
 
+def sorted_reference_lines(queries, gallery):
+    """The rankings and distances CSV lines built from Python's sort of the
+    exact scores by (-score, id), and the number of tied scores."""
+    ties = 0
+    rank_lines = ["query_id,rank,gallery_id,score"]
+    hist_lines = ["query_id,gallery_id,pair,cosine_distance"]
+    for q in sorted(queries, key=lambda r: r.id):
+        q64 = q.vector.astype(np.float64)
+        scores = {g.id: float(q64 @ g.vector.astype(np.float64))
+                  for g in gallery}
+        ties += len(scores) - len(set(scores.values()))
+        ref = sorted(gallery, key=lambda r: (-scores[r.id], r.id))
+        for rank, g in enumerate(ref, start=1):
+            pair = "positive" if g.class_id == q.class_id else "negative"
+            rank_lines.append(f"{q.id},{rank},{g.id},{scores[g.id]:.8f}")
+            hist_lines.append(f"{q.id},{g.id},{pair},{1.0 - scores[g.id]:.8f}")
+    return rank_lines, hist_lines, ties
+
+
 def test_rankings_csv_matches_sorted_reference_with_ties(rng, tmp_path):
     ties = 0
     for trial in range(20):
@@ -230,18 +294,32 @@ def test_rankings_csv_matches_sorted_reference_with_ties(rng, tmp_path):
         report = retrieval.evaluate(queries, gallery, [1])
         rank_path, _, hist_path = training.write_reports(
             report, queries, gallery, str(tmp_path / f"t{trial}"))
-        rank_lines = ["query_id,rank,gallery_id,score"]
-        hist_lines = ["query_id,gallery_id,pair,cosine_distance"]
-        for q in sorted(queries, key=lambda r: r.id):
-            q64 = q.vector.astype(np.float64)
-            scores = {g.id: float(q64 @ g.vector.astype(np.float64))
-                      for g in gallery}
-            ties += len(scores) - len(set(scores.values()))
-            ref = sorted(gallery, key=lambda r: (-scores[r.id], r.id))
-            for rank, g in enumerate(ref, start=1):
-                pair = "positive" if g.class_id == q.class_id else "negative"
-                rank_lines.append(f"{q.id},{rank},{g.id},{scores[g.id]:.8f}")
-                hist_lines.append(f"{q.id},{g.id},{pair},{1.0 - scores[g.id]:.8f}")
+        rank_lines, hist_lines, trial_ties = sorted_reference_lines(
+            queries, gallery)
+        ties += trial_ties
+        assert open(rank_path).read().splitlines() == rank_lines
+        assert open(hist_path).read().splitlines() == hist_lines
+    assert ties > 0
+
+
+def test_reports_in_blocks_match_sorted_reference_with_ties(rng, tmp_path,
+                                                            monkeypatch):
+    """Two queries per ranking block and per report block, so each CSV is
+    written in 3 to 5 blocks by its own thread."""
+    ties = 0
+    for trial in range(8):
+        dim = int(rng.integers(3, 7))
+        gallery = tied_records(rng, int(rng.integers(6, 25)), dim, "g")
+        queries = tied_records(rng, int(rng.integers(5, 10)), dim, "q",
+                               classes=5)
+        monkeypatch.setattr(retrieval, "_RANK_BLOCK_SCORES", 2 * len(gallery))
+        monkeypatch.setattr(training, "_REPORT_BLOCK_ROWS", 2 * len(gallery))
+        report = retrieval.evaluate(queries, gallery, [1])
+        rank_path, _, hist_path = training.write_reports(
+            report, queries, gallery, str(tmp_path / f"t{trial}"))
+        rank_lines, hist_lines, trial_ties = sorted_reference_lines(
+            queries, gallery)
+        ties += trial_ties
         assert open(rank_path).read().splitlines() == rank_lines
         assert open(hist_path).read().splitlines() == hist_lines
     assert ties > 0
@@ -358,6 +436,54 @@ def test_reports_refuse_nul_in_ids(tmp_path):
     report.gallery_ids = ["g\0"]
     with pytest.raises(ValueError, match="NUL"):
         training.write_reports(report, [], [], str(tmp_path))
+
+
+def test_nul_id_is_refused_before_a_thread_starts(tmp_path, monkeypatch):
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: pools.append(args))
+    report = _score_report([[0.5, 0.25]])
+    report.query_ids = ["q\0"]
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="NUL"):
+        training.write_reports(report, [], [], str(tmp_path))
+    assert not pools and threading.active_count() == threads
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("failing", [("helper",), ("main",),
+                                     ("main", "helper")])
+def test_report_writer_error_joins_the_helper(rng, tmp_path, monkeypatch,
+                                              failing):
+    """An error while either CSV is written propagates only after the helper
+    thread has been joined; when both writers fail, the error of the
+    rankings CSV, written on the calling thread, is the one raised, and
+    that error stops the helper before its last block. Each helper block
+    takes 0.05 s, so a helper left running is still alive when the call
+    returns."""
+    gallery = tied_records(rng, 12, 4, "g")
+    queries = tied_records(rng, 9, 4, "q")
+    report = retrieval.evaluate(queries, gallery, [1])
+    monkeypatch.setattr(training, "_REPORT_BLOCK_ROWS", 2 * len(gallery))
+    real, calls = training._fixed8, {"main": 0, "helper": 0}
+
+    def fixed8(values):
+        side = ("main" if threading.current_thread() is threading.main_thread()
+                else "helper")
+        calls[side] += 1
+        if side == "helper":
+            time.sleep(0.05)
+        if side in failing and calls[side] == 2:
+            raise OSError(f"{side} writer failed")
+        return real(values)
+
+    monkeypatch.setattr(training, "_fixed8", fixed8)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match=f"^{failing[0]} writer failed$"):
+        training.write_reports(report, queries, gallery, str(tmp_path))
+    assert threading.active_count() == threads
+    if failing == ("main",):
+        assert calls["helper"] < 5              # 9 queries, 2 per block
 
 
 @pytest.mark.parametrize("side", ["query", "gallery"])

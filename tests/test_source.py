@@ -252,8 +252,9 @@ def test_concurrency_import_detector():
 
 def test_only_train_imports_concurrency():
     """Threads, thread pools and processes are started in `train.py` alone
-    (the decode-ahead of `extract_embeddings`), so no model code runs off
-    the calling thread unnoticed."""
+    (the decode-ahead of `extract_embeddings` and the distances-CSV writer
+    of `write_reports`), so no model code runs off the calling thread
+    unnoticed."""
     found = {}
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         if os.path.basename(path) == "train.py":
