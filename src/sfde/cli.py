@@ -79,13 +79,9 @@ def cmd_embed(args):
 def cmd_eval(args):
     queries = retrieval.load_embeddings(args.query)
     gallery = retrieval.load_embeddings(args.gallery)
-    if queries and gallery and len(queries[0].vector) != len(gallery[0].vector):
-        print(f"dimension mismatch: query {len(queries[0].vector)} vs "
-              f"gallery {len(gallery[0].vector)}", file=sys.stderr)
-        return EXIT_VALIDATION
     k_values = [int(k) for k in args.k.split(",")]
     report = retrieval.evaluate(queries, gallery, k_values)
-    training.write_reports(report, queries, gallery, args.out)
+    training.write_reports(report, args.out)
     for k in sorted(report.recall_at):
         print(f"R@{k}: {report.recall_at[k]:.4f}")
     print(f"AP: {report.mean_ap:.4f} ({report.skipped_queries} queries skipped)")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .binio import decode_utf8
 from .ops import _interp_weights
+from .retrieval import MAX_CLASS_ID, MAX_ID_BYTES
 
 
 class DataError(ValueError):
@@ -184,6 +185,9 @@ def ingest(root):
                 class_id = int(cls)
             except ValueError:
                 raise DataError(f"class directory {cls_dir!r} is not an integer id")
+            if not 0 <= class_id <= MAX_CLASS_ID:
+                raise DataError(f"class directory {cls_dir!r} is outside the "
+                                f"class ids 0..{MAX_CLASS_ID}")
             for view in VIEWS:
                 vdir = os.path.join(cls_dir, view)
                 if not os.path.isdir(vdir):
@@ -209,6 +213,10 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path):
+    """The manifest CSV at `path`. A malformed row, and a row the embedding
+    store could not hold (an id holding NUL, or an id or class id past
+    `retrieval.MAX_ID_BYTES` or `MAX_CLASS_ID`), is a `DataError` naming
+    the file and line."""
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path, DataError)
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -217,18 +225,27 @@ def load_manifest(path):
         raise DataError(f"{path}: bad manifest header {header}")
     entries = []
     for r in reader:
+        where = f"{path}, line {reader.line_num}"
         if len(r) != len(MANIFEST_COLUMNS):
-            raise DataError(f"{path}, line {reader.line_num}: {len(r)} "
-                            f"fields, expected {len(MANIFEST_COLUMNS)} "
+            raise DataError(f"{where}: {len(r)} fields, expected "
+                            f"{len(MANIFEST_COLUMNS)} "
                             f"({','.join(MANIFEST_COLUMNS)})")
         try:
             class_id = int(r[3])
         except ValueError:
-            raise DataError(f"{path}, line {reader.line_num}: class_id "
-                            f"{r[3]!r} is not an integer") from None
+            raise DataError(f"{where}: class_id {r[3]!r} is not an "
+                            "integer") from None
+        if not 0 <= class_id <= MAX_CLASS_ID:
+            raise DataError(f"{where}: class_id {class_id} is outside "
+                            f"0..{MAX_CLASS_ID}")
+        if "\0" in r[0]:
+            raise DataError(f"{where}: id {r[0]!r} holds a NUL character")
+        if len(r[0].encode()) > MAX_ID_BYTES:
+            raise DataError(f"{where}: id is longer than {MAX_ID_BYTES} "
+                            "UTF-8 bytes")
         if r[2] not in VIEWS:
-            raise DataError(f"{path}, line {reader.line_num}: view "
-                            f"{r[2]!r} is not one of {', '.join(VIEWS)}")
+            raise DataError(f"{where}: view {r[2]!r} is not one of "
+                            f"{', '.join(VIEWS)}")
         entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
     return DatasetManifest(entries)
 

@@ -21,6 +21,11 @@ from .binio import Reader, write_atomic
 MAGIC = b"SFDE"
 VERSION = 1
 
+# the widest record id (UTF-8 bytes, after its u16 length) and the largest
+# class id (u32) a store holds; an id holds no NUL either
+MAX_ID_BYTES = 0xFFFF
+MAX_CLASS_ID = 0xFFFFFFFF
+
 VIEW_CODES = {"drone": 0, "satellite": 1}
 CODE_VIEWS = {v: k for k, v in VIEW_CODES.items()}
 
@@ -67,12 +72,14 @@ class RetrievalReport:
     a block of queries at a time by `cosine_topk`), so it holds O(Q x G)
     memory. Row i of `order` holds indices into
     `gallery_ids`, best first, for query `query_ids[i]`; row i of `scores`
-    holds the matching scores.
+    holds the matching scores, and row i of `relevant` says which of those
+    gallery items are relevant to the query (`evaluate`: the classes match).
     """
     query_ids: list
     gallery_ids: list
     order: np.ndarray         # (Q, G) gallery indices in rank order
     scores: np.ndarray        # (Q, G) float64 scores in rank order
+    relevant: np.ndarray      # (Q, G) bool relevance in rank order
     recall_at: dict           # K -> fraction
     mean_ap: float
     skipped_queries: int = 0  # queries with no relevant gallery item
@@ -122,9 +129,9 @@ def _gem_np(feature_map, p):
 _RANK_BLOCK_SCORES = 1 << 16
 
 
-def cosine_topk(queries, gallery, k):
-    """Top-k gallery records by dot product for an (Nq, D) block of query
-    vectors (all vectors unit-norm).
+def cosine_topk(queries, gallery):
+    """Every gallery record ranked by dot product, for an (Nq, D) block of
+    query vectors (all vectors unit-norm).
 
     Exact brute-force search: the scores are one float64 matrix product
     `Q @ G.T`, in which every product of float32 values is exact, and each
@@ -135,32 +142,30 @@ def cosine_topk(queries, gallery, k):
     Rows are then ranked a block of about `_RANK_BLOCK_SCORES` scores at a
     time (see `_rank_block`), each block's ranked scores overwriting its
     rows of the score matrix, so it holds two Nq x G arrays at its peak.
-    Returns `(order, scores)`, two (Nq, k) arrays of gallery indices and
-    their scores; `scores` is a view of the score matrix.
+    Returns `(order, scores)`, two (Nq, G) arrays of gallery indices and
+    their scores; `scores` is the score matrix itself.
     """
     if not gallery:
         raise ValueError("empty gallery")
-    if k > len(gallery):
-        raise ValueError(f"K={k} exceeds gallery size {len(gallery)}")
     by_id = np.array(sorted(range(len(gallery)), key=lambda i: gallery[i].id),
                      dtype=np.intp)
     vectors = np.array([gallery[i].vector for i in by_id], dtype=np.float64)
     scores = np.asarray(queries, dtype=np.float64) @ vectors.T
-    order = np.empty((len(scores), k), dtype=np.intp)
+    order = np.empty(scores.shape, dtype=np.intp)
     step = max(1, _RANK_BLOCK_SCORES // len(gallery))
     for start in range(0, len(scores), step):
         rows = slice(start, start + step)
         # a block's ranked scores overwrite its own rows, which are read only
         # while that block is ranked
-        cols, scores[rows, :k] = _rank_block(scores[rows], k)
+        cols, scores[rows] = _rank_block(scores[rows])
         order[rows] = by_id[cols]
-    return order, scores[:, :k]
+    return order, scores
 
 
-def _rank_block(scores, k):
-    """The first k columns of each row of `scores` in descending score
-    order, ties by ascending column, and their scores: the same as
-    `np.argsort(-scores, axis=1, kind="stable")[:, :k]`, NaNs last.
+def _rank_block(scores):
+    """The columns of each row of `scores` in descending score order, ties
+    by ascending column, and their scores: the same as
+    `np.argsort(-scores, axis=1, kind="stable")`, NaNs last.
 
     The default (SIMD) argsort is several times faster than the stable one
     but leaves equal scores in any order. So each row is cut into segments
@@ -179,7 +184,7 @@ def _rank_block(scores, k):
     key *= n
     key += cols
     key.sort(axis=1)
-    cols = key[:, :k] % n
+    cols = key % n
     return cols, np.take_along_axis(scores, cols, axis=1)
 
 
@@ -198,13 +203,19 @@ def _ap_at(positions):
 
 
 def evaluate(queries, gallery, k_values):
-    """Rank the full gallery for every query; relevance = class_id equality.
-    Queries without any relevant gallery item are excluded from the means
-    and counted in `skipped_queries`. Ids must be unique within the query
-    list and within the gallery."""
+    """Rank the full gallery for every query. A gallery item is relevant
+    when its class id equals the query's; the report's `relevant` holds that
+    in rank order. Queries without any relevant gallery item are excluded
+    from the means and counted in `skipped_queries`. Each bad input is a
+    `ValueError`: an empty gallery, query and gallery widths that differ, a
+    K below 1 or above the gallery size, an id repeated within one side."""
     k_values = sorted(k_values)
     if not gallery:
         raise ValueError("empty gallery")
+    dim = len(gallery[0].vector)
+    if queries and len(queries[0].vector) != dim:
+        raise ValueError(f"dimension mismatch: query {len(queries[0].vector)} "
+                         f"vs gallery {dim}")
     if min(k_values) < 1:
         raise ValueError(f"K={min(k_values)} is below 1; every K must be at "
                          "least 1")
@@ -221,8 +232,7 @@ def evaluate(queries, gallery, k_values):
             seen.add(i)
 
     block = np.array([q.vector for q in queries], dtype=np.float64)
-    block = block.reshape(len(queries), len(gallery[0].vector))
-    order, scores = cosine_topk(block, gallery, len(gallery))
+    order, scores = cosine_topk(block.reshape(len(queries), dim), gallery)
     # classes as int32 codes that compare equal when the classes do, so the
     # (Q, G) gather of gallery classes is half the size of an int64 one
     codes = {}
@@ -230,8 +240,8 @@ def evaluate(queries, gallery, k_values):
                     dtype=np.int32)
     qcls = np.array([codes.get(q.class_id, -1) for q in queries],
                     dtype=np.int32)
-    rel = gcls[order] == qcls[:, None]
-    rel = rel[rel.any(axis=1)]
+    relevant = gcls[order] == qcls[:, None]
+    rel = relevant[relevant.any(axis=1)]
     aps = [_ap_at(np.flatnonzero(row)) for row in rel]
 
     n = len(aps)
@@ -240,6 +250,7 @@ def evaluate(queries, gallery, k_values):
         gallery_ids=gallery_ids,
         order=order,
         scores=scores,
+        relevant=relevant,
         recall_at={k: (float(np.mean(rel[:, :k].any(axis=1))) if n else 0.0)
                    for k in k_values},
         mean_ap=float(np.mean(aps)) if n else 0.0,
@@ -266,14 +277,15 @@ def save_embeddings(records, path):
         if "\0" in r.id:
             raise StoreError(f"record {r.id!r} id holds a NUL character")
         rid = r.id.encode()
-        if len(rid) > 0xFFFF:
+        if len(rid) > MAX_ID_BYTES:
             raise StoreError(f"record id {r.id[:32]!r}... is {len(rid)} bytes; "
-                             "the store holds ids of at most 65535 bytes")
+                             f"the store holds ids of at most {MAX_ID_BYTES} "
+                             "bytes")
         if r.view not in VIEW_CODES:
             raise StoreError(f"record {r.id!r} has unknown view {r.view!r}")
-        if not 0 <= r.class_id <= 0xFFFFFFFF:
+        if not 0 <= r.class_id <= MAX_CLASS_ID:
             raise StoreError(f"record {r.id!r} has class_id {r.class_id}; "
-                             "the store holds class ids 0..4294967295")
+                             f"the store holds class ids 0..{MAX_CLASS_ID}")
         blob += struct.pack("<H", len(rid)) + rid
         blob += struct.pack("<BI", VIEW_CODES[r.view], r.class_id)
         blob += vec.tobytes()

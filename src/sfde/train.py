@@ -408,11 +408,11 @@ def _write_csv(path, header, blocks, fields):
             fh.write(_csv_rows(*fields(rows)))
 
 
-def write_reports(report, queries, gallery, out_dir):
+def write_reports(report, out_dir):
     """Ranking CSV, summary CSV, and the distances CSV, which repeats every
-    ranked (query, gallery) pair with its positive/negative label and its
-    cosine distance `1 - score`. Query blocks are written in ascending
-    query-id order.
+    ranked (query, gallery) pair with its cosine distance `1 - score` and a
+    positive/negative label read from `report.relevant`. Query blocks are
+    written in ascending query-id order.
 
     The rankings and distances CSVs are UTF-8 bytes built by numpy, a block
     of queries at a time; each score and distance field is the correctly
@@ -429,18 +429,9 @@ def write_reports(report, queries, gallery, out_dir):
     summary_path = os.path.join(out_dir, "retrieval_summary.csv")
     hist_path = os.path.join(out_dir, "retrieval_distances.csv")
     qids, gids = report.query_ids, report.gallery_ids
-    qclass = {q.id: q.class_id for q in queries}
-    gclass = {g.id: g.class_id for g in gallery}
-    # classes as small ints that compare equal when the classes do (two ids
-    # missing from `queries`/`gallery` share the class None)
-    codes = {}
-    gcode = np.array([codes.setdefault(gclass.get(g), len(codes))
-                      for g in gids], dtype=np.intp)
-    qcode = np.array([codes.get(qclass.get(q), -1) for q in qids], dtype=np.intp)
+    order, scores, relevant = report.order, report.scores, report.relevant
     qfields, gfields = _id_fields(qids), _id_fields(gids)
     ranks = _byte_table([f"{r}," for r in range(1, len(gids) + 1)])
-    order = np.asarray(report.order, dtype=np.intp).reshape(len(qids), len(gids))
-    scores = np.asarray(report.scores, dtype=np.float64).reshape(order.shape)
     by_id = sorted(range(len(qids)), key=qids.__getitem__)
     step = max(1, _REPORT_BLOCK_ROWS // max(1, len(gids)))
     blocks = [by_id[start:start + step] for start in range(0, len(by_id), step)]
@@ -450,9 +441,8 @@ def write_reports(report, queries, gallery, out_dir):
                 _fixed8(scores[rows]))
 
     def distance_fields(rows):
-        o = order[rows]
-        pair = _PAIRS[(gcode[o] == qcode[rows, None]).astype(np.intp)]
-        return (qfields[rows][:, None], gfields[o], pair,
+        pair = _PAIRS[relevant[rows].astype(np.intp)]
+        return (qfields[rows][:, None], gfields[order[rows]], pair,
                 _fixed8(1.0 - scores[rows]))
 
     failed = False

@@ -167,7 +167,8 @@ def test_eval_k_below_one_is_validation_error(pipeline, tmp_path, capsys,
     assert not out_dir.exists()
 
 
-def test_eval_dimension_mismatch_is_validation_error(pipeline, tmp_path):
+def test_eval_dimension_mismatch_is_validation_error(pipeline, tmp_path,
+                                                    capsys):
     vec = np.zeros(4, dtype=np.float32)
     vec[0] = 1.0
     small = str(tmp_path / "small.bin")
@@ -177,6 +178,10 @@ def test_eval_dimension_mismatch_is_validation_error(pipeline, tmp_path):
                      "--gallery", pipeline["gallery"],
                      "--k", "1", "--out", str(tmp_path / "r")])
     assert code == cli.EXIT_VALIDATION
+    dim = len(retrieval.load_embeddings(pipeline["gallery"])[0].vector)
+    err = capsys.readouterr().err
+    assert f"dimension mismatch: query 4 vs gallery {dim}" in err
+    assert "Traceback" not in err
 
 
 def test_eval_duplicate_query_id_is_validation_error(pipeline, tmp_path,
@@ -489,6 +494,48 @@ def test_ingest_unpaired_is_validation_error(tmp_path):
     code = cli.main(["ingest", "--root", str(tmp_path),
                      "--out", str(tmp_path / "m.csv")])
     assert code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("cls", ["-1", "4294967296"])
+def test_ingest_class_outside_store_range_is_validation_error(tmp_path,
+                                                             capsys, cls):
+    root = tmp_path / "data"
+    for view in data.VIEWS:
+        vdir = root / "train" / cls / view
+        vdir.mkdir(parents=True)
+        data.write_pnm(str(vdir / "a.pgm"), np.zeros((4, 4), dtype=np.uint8))
+    out = tmp_path / "m.csv"
+    code = cli.main(["ingest", "--root", str(root), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(root / "train" / cls) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("class_id", -1), ("class_id", 2 ** 32), ("id", "a\0b"),
+    ("id", "x" * 65536)],
+    ids=["negative-class", "class-2^32", "nul-id", "long-id"])
+def test_train_on_a_row_the_store_cannot_hold_is_validation_error(
+        pipeline, tmp_path, capsys, field, value):
+    """Refused when the manifest is read, before any image is decoded; a
+    class id is changed on every entry of its class, so the manifest stays
+    paired."""
+    manifest = data.load_manifest(pipeline["manifest"])
+    first = manifest.entries[0]
+    targets = ([e for e in manifest.entries if e.class_id == first.class_id]
+               if field == "class_id" else [first])
+    for e in targets:
+        setattr(e, field, value)
+    bad = str(tmp_path / "bad.csv")
+    data.save_manifest(manifest, bad)
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", pipeline["cfg"], "--manifest", bad,
+                     "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}, line 2: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bad_config_is_validation_error(pipeline, tmp_path):

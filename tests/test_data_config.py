@@ -124,14 +124,31 @@ def test_manifest_bad_header_rejected(tmp_path):
     ("a,a.pgm,drone", "3 fields, expected 5"),
     ("a,a.pgm,drone,x,train", "class_id 'x' is not an integer"),
     ("a,a.pgm,both,0,train", "view 'both' is not one of drone, satellite"),
+    ("a,a.pgm,drone,-1,train", "class_id -1 is outside 0..4294967295"),
+    ("a,a.pgm,drone,4294967296,train",
+     "class_id 4294967296 is outside 0..4294967295"),
+    ("a\0b,a.pgm,drone,0,train", "id 'a\\\\x00b' holds a NUL character"),
+    pytest.param("\u00e9" * 32768 + ",a.pgm,drone,0,train",
+                 "id is longer than 65535 UTF-8 bytes", id="long-id"),
 ])
 def test_manifest_bad_row_names_file_and_line(tmp_path, row, problem):
     path = str(tmp_path / "m.csv")
-    open(path, "w").write("id,path,view,class_id,split\n"
-                          "b,b.pgm,drone,0,train\n" + row + "\n")
+    open(path, "w", encoding="utf-8").write(
+        "id,path,view,class_id,split\nb,b.pgm,drone,0,train\n" + row + "\n")
     with pytest.raises(data.DataError, match=f"line 3: {problem}") as err:
         data.load_manifest(path)
     assert path in str(err.value)
+
+
+def test_manifest_holds_the_store_bounds_themselves(tmp_path):
+    """A class id of 2^32 - 1 and an id of 65535 UTF-8 bytes are kept."""
+    rid = "\u00e9" * 32767 + "x"
+    path = str(tmp_path / "m.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"id,path,view,class_id,split\n{rid},a.pgm,drone,"
+                 "4294967295,train\n")
+    (entry,) = data.load_manifest(path).entries
+    assert entry.id == rid and entry.class_id == 4294967295
 
 
 def test_synthetic_generator_deterministic(tmp_path):

@@ -90,7 +90,8 @@ def test_assemble_deterministic(rng):
 def topk_one(query, gallery, k):
     """`cosine_topk` for one query vector, as a (1, D) block: the ranked
     gallery ids and their scores."""
-    order, scores = retrieval.cosine_topk(np.asarray(query)[None], gallery, k)
+    order, scores = retrieval.cosine_topk(np.asarray(query)[None], gallery)
+    order, scores = order[:, :k], scores[:, :k]
     assert order.shape == scores.shape == (1, k)
     return [gallery[j].id for j in order[0]], scores[0].tolist()
 
@@ -129,7 +130,8 @@ def test_topk_block_matches_single_query_rows(rng):
     queries = tied_records(rng, 8, 5, "q")
     block = np.stack([q.vector for q in queries])
     for k in (1, 7, 30):
-        order, scores = retrieval.cosine_topk(block, gallery, k)
+        order, scores = retrieval.cosine_topk(block, gallery)
+        order, scores = order[:, :k], scores[:, :k]
         assert order.shape == scores.shape == (8, k)
         for q, row, row_scores in zip(queries, order, scores):
             single_ids, single_scores = topk_one(q.vector, gallery, k)
@@ -150,7 +152,8 @@ def test_rank_block_matches_stable_argsort():
     scores = np.stack(rows)
     ref = np.argsort(-scores, axis=1, kind="stable")
     for k in (1, 2, 7, 22, 23):
-        order, top = retrieval._rank_block(scores, k)
+        order, top = retrieval._rank_block(scores)
+        order, top = order[:, :k], top[:, :k]
         assert np.array_equal(order, ref[:, :k])
         assert np.array_equal(
             top.view(np.int64),
@@ -165,7 +168,8 @@ def test_topk_in_blocks_matches_sort_oracle(rng, monkeypatch, k):
     queries = tied_records(rng, 8, 5, "q")
     monkeypatch.setattr(retrieval, "_RANK_BLOCK_SCORES", 3 * len(gallery))
     order, scores = retrieval.cosine_topk(
-        np.stack([q.vector for q in queries]), gallery, k)
+        np.stack([q.vector for q in queries]), gallery)
+    order, scores = order[:, :k], scores[:, :k]
     assert order.shape == scores.shape == (8, k)
     ties = 0
     for q, row, row_scores in zip(queries, order, scores):
@@ -181,10 +185,18 @@ def test_topk_in_blocks_matches_sort_oracle(rng, monkeypatch, k):
 
 def test_topk_validation():
     with pytest.raises(ValueError):
-        retrieval.cosine_topk(np.ones((1, 2)), [], 1)
-    gallery = [EmbeddingRecord("a", "drone", 0, unit([1, 0]))]
-    with pytest.raises(ValueError):
-        retrieval.cosine_topk(np.ones((1, 2)), gallery, 2)
+        retrieval.cosine_topk(np.ones((1, 2)), [])
+
+
+def test_topk_ranks_whole_rows(rng):
+    """`cosine_topk` returns (Q, G) `order` and `scores`: every row of
+    `order` is a permutation of the gallery."""
+    gallery = random_records(rng, 11, 5)
+    queries = random_records(rng, 4, 5, prefix="q")
+    order, scores = retrieval.cosine_topk(
+        np.stack([q.vector for q in queries]), gallery)
+    assert order.shape == scores.shape == (4, 11)
+    assert (np.sort(order, axis=1) == np.arange(11)).all()
 
 
 def test_ranking_invariant_to_pre_normalization_scale(rng):
@@ -293,7 +305,7 @@ def test_rankings_csv_matches_sorted_reference_with_ties(rng, tmp_path):
         queries = tied_records(rng, int(rng.integers(1, 7)), dim, "q", classes=5)
         report = retrieval.evaluate(queries, gallery, [1])
         rank_path, _, hist_path = training.write_reports(
-            report, queries, gallery, str(tmp_path / f"t{trial}"))
+            report, str(tmp_path / f"t{trial}"))
         rank_lines, hist_lines, trial_ties = sorted_reference_lines(
             queries, gallery)
         ties += trial_ties
@@ -316,7 +328,7 @@ def test_reports_in_blocks_match_sorted_reference_with_ties(rng, tmp_path,
         monkeypatch.setattr(training, "_REPORT_BLOCK_ROWS", 2 * len(gallery))
         report = retrieval.evaluate(queries, gallery, [1])
         rank_path, _, hist_path = training.write_reports(
-            report, queries, gallery, str(tmp_path / f"t{trial}"))
+            report, str(tmp_path / f"t{trial}"))
         rank_lines, hist_lines, trial_ties = sorted_reference_lines(
             queries, gallery)
         ties += trial_ties
@@ -331,7 +343,7 @@ def test_evaluate_empty_queries_gives_zero_metrics_and_header_only_csvs(
     report = retrieval.evaluate([], gallery, [1, 5])
     assert report.recall_at == {1: 0.0, 5: 0.0}
     assert report.mean_ap == 0.0 and report.skipped_queries == 0
-    paths = training.write_reports(report, [], gallery, str(tmp_path))
+    paths = training.write_reports(report, str(tmp_path))
     assert [open(p).read() for p in paths] == [
         "query_id,rank,gallery_id,score\n",
         "metric,K,value\nrecall,1,0.00000000\nrecall,5,0.00000000\n"
@@ -349,8 +361,7 @@ def test_reports_quote_ids_that_need_it(rng, tmp_path):
                                unit(rng.normal(size=4)))
                for i, n in enumerate(names)]
     report = retrieval.evaluate(queries, gallery, [1])
-    rank_path, _, hist_path = training.write_reports(
-        report, queries, gallery, str(tmp_path))
+    rank_path, _, hist_path = training.write_reports(report, str(tmp_path))
     for path, gcol in ((rank_path, 2), (hist_path, 1)):
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -367,8 +378,7 @@ def test_reports_write_ids_as_utf8(rng, tmp_path):
     gallery = [EmbeddingRecord(f"g/{name}", "satellite", 0, unit([1, 0])),
                EmbeddingRecord("g/plain.pgm", "satellite", 1, unit([0, 1]))]
     report = retrieval.evaluate(queries, gallery, [1])
-    rank_path, _, hist_path = training.write_reports(
-        report, queries, gallery, str(tmp_path))
+    rank_path, _, hist_path = training.write_reports(report, str(tmp_path))
     q, g = f"q/{name}".encode("utf-8"), f"g/{name}".encode("utf-8")
     assert open(rank_path, "rb").read() == (
         b"query_id,rank,gallery_id,score\n"
@@ -382,14 +392,32 @@ def test_reports_write_ids_as_utf8(rng, tmp_path):
 
 def _score_report(scores):
     """A report whose query `q{i}` ranks gallery items g0, g1, ... with the
-    scores of row i, in that order."""
+    scores of row i, in that order, every pair relevant."""
     scores = np.asarray(scores, dtype=np.float64)
     nq, ng = scores.shape
     return retrieval.RetrievalReport(
         query_ids=[f"q{i:04d}" for i in range(nq)],
         gallery_ids=[f"g{j:04d}" for j in range(ng)],
         order=np.tile(np.arange(ng), (nq, 1)), scores=scores,
+        relevant=np.ones((nq, ng), dtype=bool),
         recall_at={1: 0.0}, mean_ap=0.0)
+
+
+def test_distances_pair_column_follows_relevant(rng, tmp_path):
+    """The pair labels are read from `report.relevant` in rank order, even
+    in a pattern that no classes could produce."""
+    report = _score_report(rng.uniform(-1, 1, size=(7, 9)))
+    report.order = np.stack([rng.permutation(9) for _ in range(7)])
+    i, j = np.indices((7, 9))
+    report.relevant = (i + j) % 3 == 0
+    _, _, hist_path = training.write_reports(report, str(tmp_path))
+    with open(hist_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == [f"q{a:04d}" for a in i.ravel()]
+    assert [row[1] for row in rows] == \
+        [f"g{b:04d}" for b in report.order.ravel()]
+    assert [row[2] for row in rows] == \
+        ["positive" if r else "negative" for r in report.relevant.ravel()]
 
 
 def test_report_scores_match_python_formatting(tmp_path, monkeypatch):
@@ -417,8 +445,7 @@ def test_report_scores_match_python_formatting(tmp_path, monkeypatch):
 
     monkeypatch.setattr(training, "_byte_table", spy)
     report = _score_report(values.reshape(-1, 1000))
-    rank_path, _, hist_path = training.write_reports(
-        report, [], [], str(tmp_path))
+    rank_path, _, hist_path = training.write_reports(report, str(tmp_path))
     with open(rank_path, "rb") as fh:
         rank_rows = fh.read().decode().splitlines()[1:]
     with open(hist_path, "rb") as fh:
@@ -435,7 +462,7 @@ def test_reports_refuse_nul_in_ids(tmp_path):
     report = _score_report([[0.5]])
     report.gallery_ids = ["g\0"]
     with pytest.raises(ValueError, match="NUL"):
-        training.write_reports(report, [], [], str(tmp_path))
+        training.write_reports(report, str(tmp_path))
 
 
 def test_nul_id_is_refused_before_a_thread_starts(tmp_path, monkeypatch):
@@ -446,7 +473,7 @@ def test_nul_id_is_refused_before_a_thread_starts(tmp_path, monkeypatch):
     report.query_ids = ["q\0"]
     threads = threading.active_count()
     with pytest.raises(ValueError, match="NUL"):
-        training.write_reports(report, [], [], str(tmp_path))
+        training.write_reports(report, str(tmp_path))
     assert not pools and threading.active_count() == threads
     assert os.listdir(tmp_path) == []
 
@@ -480,7 +507,7 @@ def test_report_writer_error_joins_the_helper(rng, tmp_path, monkeypatch,
     monkeypatch.setattr(training, "_fixed8", fixed8)
     threads = threading.active_count()
     with pytest.raises(OSError, match=f"^{failing[0]} writer failed$"):
-        training.write_reports(report, queries, gallery, str(tmp_path))
+        training.write_reports(report, str(tmp_path))
     assert threading.active_count() == threads
     if failing == ("main",):
         assert calls["helper"] < 5              # 9 queries, 2 per block
@@ -493,6 +520,14 @@ def test_evaluate_rejects_duplicate_ids(rng, side):
     records = queries if side == "query" else gallery
     records[3].id = records[1].id
     with pytest.raises(ValueError, match=f"duplicate {side} id '{records[1].id}'"):
+        retrieval.evaluate(queries, gallery, [1])
+
+
+def test_evaluate_rejects_dimension_mismatch(rng):
+    gallery = random_records(rng, 6, 4)
+    queries = random_records(rng, 3, 3, prefix="q")
+    with pytest.raises(ValueError,
+                       match="^dimension mismatch: query 3 vs gallery 4$"):
         retrieval.evaluate(queries, gallery, [1])
 
 

@@ -95,6 +95,58 @@ def test_every_private_module_name_is_read():
     assert unread_private_names(sources) == []
 
 
+def unread_parameters(text):
+    """`line N: function.parameter` for each parameter of a function or
+    lambda in `text` that its body never reads; a read in a nested function
+    counts. A method's `self` and dunder methods are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+            if name.startswith("__") and name.endswith("__"):
+                continue
+        elif isinstance(node, ast.Lambda):
+            name, body = "<lambda>", [node.body]
+        else:
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, f"{name}.{p.arg}") for p in params
+                  if p.arg not in read and p.arg != "self"]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_unread_parameter_detector():
+    text = ("def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+            "class T:\n    def __exit__(self, *exc):\n        pass\n"
+            "    def m(self, x, y):\n        def inner(z):\n"
+            "            return x\n        return inner\n"
+            "g = lambda t, u: t\n")
+    assert unread_parameters(text) == [
+        "line 1: f.args", "line 1: f.b", "line 1: f.c", "line 6: m.y",
+        "line 7: inner.z", "line 10: <lambda>.u"]
+
+
+def test_every_parameter_is_read():
+    """No function or lambda in the package takes a parameter it ignores.
+    Dunder methods (`Tape.__exit__`) and the self-test's checks, which
+    share one `check(rng)` signature, are exempt."""
+    from sfde.selftest import PROPERTIES
+    checks = {check.__name__ for _, check in PROPERTIES}
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            unread = [u for u in unread_parameters(fh.read())
+                      if not (os.path.basename(path) == "selftest.py"
+                              and u.split(": ")[1].split(".")[0] in checks)]
+        if unread:
+            found[os.path.basename(path)] = unread
+    assert not found
+
+
 def test_entry_points_do_not_import_scipy():
     """The runtime needs only numpy: importing the command line, training
     and the self-test in a fresh interpreter loads no scipy module."""
