@@ -33,7 +33,6 @@ class Block(Module):
 class Backbone(Module):
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        cfg.validate()
         self.cfg = cfg
         chans, dtype = cfg.stage_channels, cfg.np_dtype
         self.stem = Conv2d(3, chans[0], 4, rng, stride=4, dtype=dtype)

@@ -11,9 +11,7 @@ import argparse
 import sys
 
 from . import data, retrieval, train as training
-from .config import ConfigError, RunConfig, load_config
-from .model import CheckpointError
-from .ops import ShapeError
+from .config import RunConfig, load_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -159,8 +157,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ShapeError, CheckpointError, retrieval.StoreError,
-            data.DataError, ValueError) as e:
+    except ValueError as e:  # every validation error of the package is one
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (training.NumericError, FloatingPointError) as e:

@@ -67,7 +67,7 @@ class _Section:
 
 @dataclass
 class ModelConfig(_Section):
-    """The `[model]` section, plus the class count that training sets."""
+    """The `[model]` section plus the class count; checked fully when built."""
     stage_channels: tuple = field(default=(16, 32, 64, 128),
                                   metadata={"min": 1})
     blocks_per_stage: int = field(default=2, metadata={"min": 1})
@@ -80,6 +80,10 @@ class ModelConfig(_Section):
     use_fsab: bool = True
     dtype: str = field(default="float32",
                        metadata={"choices": ("float32", "float64")})
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.validate()
 
     def validate(self):
         """The checks that span fields: the backbone's 4 stages and stride

@@ -16,7 +16,7 @@ import numpy as np
 
 from .binio import decode_utf8
 from .ops import _interp_weights
-from .retrieval import MAX_CLASS_ID, MAX_ID_BYTES
+from .retrieval import VIEW_CODES, _record_problem
 
 
 class DataError(ValueError):
@@ -121,27 +121,39 @@ def load_image(path, size):
 # ---------------------------------------------------------------------------
 
 MANIFEST_COLUMNS = ["id", "path", "view", "class_id", "split"]
-VIEWS = ("drone", "satellite")
+VIEWS = tuple(VIEW_CODES)
 
 
 @dataclass
 class ManifestEntry:
+    """One image; building one a store could not hold is a `DataError`."""
     id: str
     path: str
     view: str
     class_id: int
     split: str
 
+    def __post_init__(self):
+        if problem := _record_problem(self.id, self.view, self.class_id):
+            raise DataError(problem)
+
 
 @dataclass
 class DatasetManifest:
+    """Entries with distinct ids; a repeated id is a `DataError`."""
     entries: list = field(default_factory=list)
 
+    def __post_init__(self):
+        seen = set()
+        for e in self.entries:
+            if e.id in seen:
+                raise DataError(f"duplicate entry id {e.id!r}")
+            seen.add(e.id)
+
     def subset(self, split=None, view=None):
-        out = [e for e in self.entries
-               if (split is None or e.split == split)
-               and (view is None or e.view == view)]
-        return out
+        return [e for e in self.entries
+                if (split is None or e.split == split)
+                and (view is None or e.view == view)]
 
     @property
     def classes(self):
@@ -159,13 +171,9 @@ class DatasetManifest:
         by_class = {}
         for e in self.subset(split):
             by_class.setdefault(e.class_id, set()).add(e.view)
-        problems = [f"class {cid}: missing {sorted(set(VIEWS) - views)}"
-                    for cid, views in sorted(by_class.items())
-                    if views != set(VIEWS)]
-        ids = [e.id for e in self.entries]
-        if len(ids) != len(set(ids)):
-            problems.append("duplicate entry ids")
-        return problems
+        return [f"class {cid}: missing {sorted(set(VIEWS) - views)}"
+                for cid, views in sorted(by_class.items())
+                if views != set(VIEWS)]
 
 
 def ingest(root):
@@ -185,9 +193,6 @@ def ingest(root):
                 class_id = int(cls)
             except ValueError:
                 raise DataError(f"class directory {cls_dir!r} is not an integer id")
-            if not 0 <= class_id <= MAX_CLASS_ID:
-                raise DataError(f"class directory {cls_dir!r} is outside the "
-                                f"class ids 0..{MAX_CLASS_ID}")
             for view in VIEWS:
                 vdir = os.path.join(cls_dir, view)
                 if not os.path.isdir(vdir):
@@ -195,10 +200,14 @@ def ingest(root):
                 for fname in sorted(os.listdir(vdir)):
                     if not fname.endswith((".pgm", ".ppm")):
                         continue
-                    entries.append(ManifestEntry(
-                        id=f"{split}/{class_id}/{view}/{fname}",
-                        path=os.path.join(vdir, fname),
-                        view=view, class_id=class_id, split=split))
+                    try:
+                        entries.append(ManifestEntry(
+                            id=f"{split}/{class_id}/{view}/{fname}",
+                            path=os.path.join(vdir, fname),
+                            view=view, class_id=class_id, split=split))
+                    except DataError as e:
+                        raise DataError(f"class directory {cls_dir!r}: "
+                                        f"{e}") from None
     if not entries:
         raise DataError(f"no images found under {root!r}")
     return DatasetManifest(entries)
@@ -213,10 +222,9 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path):
-    """The manifest CSV at `path`. A malformed row, and a row the embedding
-    store could not hold (an id holding NUL, or an id or class id past
-    `retrieval.MAX_ID_BYTES` or `MAX_CLASS_ID`), is a `DataError` naming
-    the file and line."""
+    """The manifest CSV at `path`. A malformed row, and a row that is not a
+    valid `ManifestEntry`, is a `DataError` naming the file and line; a
+    repeated id is one naming the file and the id."""
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path, DataError)
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -235,19 +243,14 @@ def load_manifest(path):
         except ValueError:
             raise DataError(f"{where}: class_id {r[3]!r} is not an "
                             "integer") from None
-        if not 0 <= class_id <= MAX_CLASS_ID:
-            raise DataError(f"{where}: class_id {class_id} is outside "
-                            f"0..{MAX_CLASS_ID}")
-        if "\0" in r[0]:
-            raise DataError(f"{where}: id {r[0]!r} holds a NUL character")
-        if len(r[0].encode()) > MAX_ID_BYTES:
-            raise DataError(f"{where}: id is longer than {MAX_ID_BYTES} "
-                            "UTF-8 bytes")
-        if r[2] not in VIEWS:
-            raise DataError(f"{where}: view {r[2]!r} is not one of "
-                            f"{', '.join(VIEWS)}")
-        entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
-    return DatasetManifest(entries)
+        try:
+            entries.append(ManifestEntry(r[0], r[1], r[2], class_id, r[4]))
+        except DataError as e:
+            raise DataError(f"{where}: {e}") from None
+    try:
+        return DatasetManifest(entries)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

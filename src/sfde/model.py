@@ -18,6 +18,7 @@ from .fsab import FrequencyStabilityBranch
 from .gscb import GlobalSemanticBranch
 from .layers import Module
 from .lgsb import LocalGeometricBranch
+from .ops import ShapeError
 
 OPTIMIZER_NOTE = (
     "update rule: m=b1*m+(1-b1)*g; v=b2*v+(1-b2)*g^2; "
@@ -40,7 +41,7 @@ class SFDEModel(Module):
 
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        self.backbone = Backbone(cfg, rng)  # validates cfg first
+        self.backbone = Backbone(cfg, rng)
         self.cfg = cfg
         dt = cfg.np_dtype
         c = cfg.feature_channels
@@ -136,7 +137,7 @@ def load_checkpoint(path):
         cfg_d = dict(header["model_config"])
         cfg_d["stage_channels"] = tuple(cfg_d["stage_channels"])
         cfg = ModelConfig(**cfg_d)
-    except ConfigError as e:
+    except (ConfigError, ShapeError) as e:
         raise CheckpointError(f"malformed model_config in checkpoint "
                               f"({e})") from e
     except (KeyError, TypeError) as e:
@@ -149,6 +150,8 @@ def load_checkpoint(path):
     for i in range(count):
         (nlen,) = r.unpack("<H", f"array {i} name length")
         name = r.text(nlen, f"array {i} name")
+        if name in arrays:
+            raise CheckpointError(f"array {name!r} appears twice in checkpoint")
         code, ndim = r.unpack("<BB", f"array {name!r} dtype")
         if code not in CKPT_DTYPES:
             raise CheckpointError(f"array {name!r} has unknown dtype code "

@@ -22,7 +22,7 @@ MAGIC = b"SFDE"
 VERSION = 1
 
 # the widest record id (UTF-8 bytes, after its u16 length) and the largest
-# class id (u32) a store holds; an id holds no NUL either
+# class id (u32) a store holds; `_record_problem` also refuses NUL in an id
 MAX_ID_BYTES = 0xFFFF
 MAX_CLASS_ID = 0xFFFFFFFF
 
@@ -262,30 +262,33 @@ def evaluate(queries, gallery, k_values):
 # embedding store
 # ---------------------------------------------------------------------------
 
+def _record_problem(rid, view, class_id):
+    """Why a store record cannot hold this id, view and class id, or None."""
+    if "\0" in rid:
+        return f"id {rid!r} holds a NUL character"
+    if len(rid.encode()) > MAX_ID_BYTES:
+        return f"id is longer than {MAX_ID_BYTES} UTF-8 bytes"
+    if view not in VIEW_CODES:
+        return f"view {view!r} is not one of {', '.join(VIEW_CODES)}"
+    if not 0 <= class_id <= MAX_CLASS_ID:
+        return f"class_id {class_id} is outside 0..{MAX_CLASS_ID}"
+
+
 def save_embeddings(records, path):
     """Atomic write (temp file + rename)."""
     dim = len(records[0].vector) if records else 0
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<III", VERSION, len(records), dim)
-    for r in records:
+    for i, r in enumerate(records):
         vec = np.asarray(r.vector, dtype="<f4")
         if dim and vec.shape != (dim,):
             raise StoreError(f"record {r.id!r} has dim {vec.shape}, expected {dim}")
         if not np.isfinite(vec).all():
             raise StoreNonFiniteError(f"record {r.id!r} vector is not finite")
-        if "\0" in r.id:
-            raise StoreError(f"record {r.id!r} id holds a NUL character")
+        if problem := _record_problem(r.id, r.view, r.class_id):
+            raise StoreError(f"record {i}: {problem}")
         rid = r.id.encode()
-        if len(rid) > MAX_ID_BYTES:
-            raise StoreError(f"record id {r.id[:32]!r}... is {len(rid)} bytes; "
-                             f"the store holds ids of at most {MAX_ID_BYTES} "
-                             "bytes")
-        if r.view not in VIEW_CODES:
-            raise StoreError(f"record {r.id!r} has unknown view {r.view!r}")
-        if not 0 <= r.class_id <= MAX_CLASS_ID:
-            raise StoreError(f"record {r.id!r} has class_id {r.class_id}; "
-                             f"the store holds class ids 0..{MAX_CLASS_ID}")
         blob += struct.pack("<H", len(rid)) + rid
         blob += struct.pack("<BI", VIEW_CODES[r.view], r.class_id)
         blob += vec.tobytes()

@@ -250,8 +250,9 @@ def _decode_chunk(chunk, input_size, mean, std):
     return standardize(imgs, mean, std, out=imgs)
 
 
-def extract_embeddings(model: SFDEModel, norm_stats, entries, input_size):
+def extract_embeddings(model: SFDEModel, norm_stats, entries):
     """One unit-norm record per manifest entry, eval mode, deterministic.
+    Images are resized to the model's `cfg.input_size`.
 
     The forward pass runs on chunks of EMBED_BATCH images. In eval mode every
     kernel treats each sample on its own (BN uses running stats), so the
@@ -266,6 +267,7 @@ def extract_embeddings(model: SFDEModel, norm_stats, entries, input_size):
     joined first. `norm_stats` are float32, as `compute_norm_stats` and the
     checkpoint header give them."""
     mean, std = norm_stats
+    input_size = model.cfg.input_size
     p_local = float(model.pool_p_local.data)
     p_freq = float(model.pool_p_freq.data)
     chunks = [entries[start:start + EMBED_BATCH]
@@ -312,8 +314,7 @@ def embed_from_checkpoint(ckpt_path, entries, out_path):
         except (KeyError, TypeError, ValueError):
             raise CheckpointError(
                 f"checkpoint header needs a 3-element {key}") from None
-    records = extract_embeddings(model, norm_stats, entries,
-                                 model.cfg.input_size)
+    records = extract_embeddings(model, norm_stats, entries)
     retrieval.save_embeddings(records, out_path)
     return records
 

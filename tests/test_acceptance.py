@@ -283,11 +283,9 @@ def smoke_runs(tmp_path_factory):
 
         def probe(model, stats, class_index, step):
             q = training.extract_embeddings(
-                model, stats, manifest.subset("train", view="drone"),
-                cfg.input_size)
+                model, stats, manifest.subset("train", view="drone"))
             g = training.extract_embeddings(
-                model, stats, manifest.subset("train", view="satellite"),
-                cfg.input_size)
+                model, stats, manifest.subset("train", view="satellite"))
             rep = retrieval.evaluate(q, g, [1])
             history.append((step, rep.recall_at[1]))
 

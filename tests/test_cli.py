@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline and exit-code contracts."""
 
+import importlib
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -13,7 +15,8 @@ import pytest
 import sfde
 from sfde import cli, data, retrieval, selftest, spectral
 from sfde.autodiff import Tensor
-from sfde.model import ModelConfig, SFDEModel, save_checkpoint
+from sfde.model import (ModelConfig, SFDEModel, load_checkpoint,
+                        save_checkpoint)
 from sfde.train import EMBED_BATCH
 
 
@@ -314,18 +317,21 @@ def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
     ("use_fsab", "no", "malformed model_config in checkpoint (use_fsab must "
      "be true or false, got 'no')"),
     ("blocks_per_stage", -1, "malformed model_config in checkpoint "
-     "(blocks_per_stage must be at least 1, got -1)")],
+     "(blocks_per_stage must be at least 1, got -1)"),
+    ("heads", 3, "malformed model_config in checkpoint (feature channels 8 "
+     "not divisible by 3 heads)")],
     ids=["mystery_knob-1", "stage_channels-None", "stage_channels-5",
          "None-None", "dtype-float16", "norm_mean-None", "norm_std-short",
          "embed_dim-str", "heads-float", "embed_dim-zero", "use_fsab-str",
-         "blocks_per_stage-negative"])
+         "blocks_per_stage-negative", "heads-cross-field"])
 def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
                                                          capsys, key, value,
                                                          message):
     """An unknown key, a missing or non-list `stage_channels`, a missing
     `model_config`, a value that breaks a config file's rules (type, bound
-    or choices) and a missing or short `norm_mean`/`norm_std` are each a
-    CheckpointError, not a traceback."""
+    or choices), a value that breaks a rule spanning fields, and a missing
+    or short `norm_mean`/`norm_std` are each a CheckpointError, not a
+    traceback."""
     blob = open(pipeline["ckpt"], "rb").read()
     (hlen,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + hlen].decode())
@@ -787,3 +793,115 @@ def test_embed_unknown_view_is_validation_error(pipeline, tmp_path, capsys):
                      "--out", str(tmp_path / "e.bin")])
     assert code == cli.EXIT_VALIDATION
     assert f"{bad}, line 3: view 'both'" in capsys.readouterr().err
+
+
+def _repeated_id_manifest(pipeline, tmp_path):
+    """The pipeline manifest with its first row written again at the end:
+    its path and the repeated id."""
+    lines = open(pipeline["manifest"]).read().splitlines()
+    bad = str(tmp_path / "repeated.csv")
+    open(bad, "w").write("\n".join(lines + [lines[1]]) + "\n")
+    return bad, lines[1].split(",")[0]
+
+
+def test_embed_on_a_repeated_id_decodes_nothing(pipeline, tmp_path, capsys,
+                                                monkeypatch):
+    """Refused when the manifest is read: no image is decoded and no store
+    is written."""
+    bad, rid = _repeated_id_manifest(pipeline, tmp_path)
+    decoded = []
+
+    def counting_load(path, size):
+        decoded.append(path)
+        return data.load_image(path, size)
+
+    monkeypatch.setattr(sfde.train, "load_image", counting_load)
+    out = tmp_path / "e.bin"
+    code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
+                     "--split", "train", "--view", "both", "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}: duplicate entry id {rid!r}" in err
+    assert "Traceback" not in err
+    assert decoded == [] and not out.exists()
+
+
+def test_train_on_a_repeated_id_names_the_file_and_the_id(pipeline, tmp_path,
+                                                          capsys):
+    bad, rid = _repeated_id_manifest(pipeline, tmp_path)
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", pipeline["cfg"], "--manifest", bad,
+                     "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}: duplicate entry id {rid!r}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_checkpoint_naming_an_array_twice_is_validation_error(
+        pipeline, tmp_path, capsys):
+    """The pipeline checkpoint with a zero copy of `backbone.stem.weight`
+    appended and its array count raised by 1."""
+    blob = open(pipeline["ckpt"], "rb").read()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    at = 12 + hlen                                  # the array count
+    (count,) = struct.unpack("<I", blob[at:at + 4])
+    model, _ = load_checkpoint(pipeline["ckpt"])
+    weight = dict(model.named_parameters())["backbone.stem.weight"].data
+    assert weight.dtype == np.float32
+    name = b"backbone.stem.weight"
+    copy = (struct.pack("<H", len(name)) + name
+            + struct.pack(f"<BB{weight.ndim}I", 0, weight.ndim, *weight.shape)
+            + np.zeros(weight.shape, "<f4").tobytes())
+    code = _embed_with(pipeline, tmp_path, blob[:at]
+                       + struct.pack("<I", count + 1) + blob[at + 4:] + copy)
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "array 'backbone.stem.weight' appears twice in checkpoint" in err
+    assert "Traceback" not in err
+
+
+def package_exception_classes():
+    """Every exception class defined by a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(sfde.__path__):
+        module = importlib.import_module(f"sfde.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+# the exit code of each base class; `autodiff.TapeError` is a programming
+# error, not an input fault, and has none
+EXIT_CODES = [(ValueError, cli.EXIT_VALIDATION),
+              (FloatingPointError, cli.EXIT_NUMERIC),
+              (sfde.train.NumericError, cli.EXIT_NUMERIC),
+              (OSError, cli.EXIT_IO)]
+
+
+def test_exception_walk_finds_the_package_errors():
+    names = {cls.__name__ for cls in package_exception_classes()}
+    assert {"TapeError", "DataError", "PnmError", "StoreNonFiniteError",
+            "NumericError", "CheckpointError", "ConfigError"} <= names
+
+
+@pytest.mark.parametrize(
+    "error", [cls for cls in package_exception_classes()
+              if cls.__name__ != "TapeError"],
+    ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_base_class_code(
+        tmp_path, capsys, monkeypatch, error):
+    """Raised from inside a verb, each error gives the exit code of its
+    base class and its message, with no traceback."""
+    codes = [code for base, code in EXIT_CODES if issubclass(error, base)]
+    assert codes, f"{error.__name__} has no exit code"
+
+    def fail(*args, **kwargs):
+        raise error("injected fault")
+
+    monkeypatch.setattr(data, "generate_synthetic_dataset", fail)
+    code = cli.main(["synth", "--root", str(tmp_path / "data")])
+    assert code == codes[0]
+    err = capsys.readouterr().err
+    assert "injected fault" in err and "Traceback" not in err

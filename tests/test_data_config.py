@@ -1,6 +1,7 @@
 """Image decoding, manifest ingestion, config parsing, schedule shape."""
 
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -149,6 +150,29 @@ def test_manifest_holds_the_store_bounds_themselves(tmp_path):
                  "4294967295,train\n")
     (entry,) = data.load_manifest(path).entries
     assert entry.id == rid and entry.class_id == 4294967295
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("class_id", -1, "class_id -1 is outside 0..4294967295"),
+    ("class_id", 2 ** 32, "class_id 4294967296 is outside 0..4294967295"),
+    ("id", "a\0b", "id 'a\\x00b' holds a NUL character"),
+    ("id", "x" * 65536, "id is longer than 65535 UTF-8 bytes"),
+    ("view", "aerial", "view 'aerial' is not one of drone, satellite")],
+    ids=["negative-class", "class-2^32", "nul-id", "long-id", "aerial"])
+def test_manifest_entry_refuses_what_the_store_cannot_hold(field, value,
+                                                           problem):
+    """Built in code, not read from a file: the entry itself refuses."""
+    kw = dict(id="a", path="a.pgm", view="drone", class_id=0, split="train")
+    kw[field] = value
+    with pytest.raises(data.DataError, match=re.escape(problem)):
+        data.ManifestEntry(**kw)
+
+
+def test_manifest_refuses_a_repeated_id():
+    kw = dict(path="a.pgm", view="drone", class_id=0, split="train")
+    entries = [data.ManifestEntry(i, **kw) for i in ("a", "b", "c", "b")]
+    with pytest.raises(data.DataError, match="duplicate entry id 'b'"):
+        data.DatasetManifest(entries)
 
 
 def test_synthetic_generator_deterministic(tmp_path):

@@ -382,7 +382,7 @@ def assert_records_are_one_image_at_a_time(model, entries, dtype):
             out.freq_map.data[0], p_local=float(model.pool_p_local.data),
             p_freq=float(model.pool_p_freq.data)))
 
-    records = extract_embeddings(model, NORM, entries, 128)
+    records = extract_embeddings(model, NORM, entries)
     assert [(r.id, r.view, r.class_id) for r in records] == \
         [(e.id, e.view, e.class_id) for e in entries]
     for r, ref in zip(records, reference):
@@ -399,7 +399,7 @@ def test_batched_extraction_equals_one_image_at_a_time(synth_dataset, dtype):
     assert {e.view for e in entries[:EMBED_BATCH]} == {"drone", "satellite"}
     model = eval_ready_model(dtype)
     assert_records_are_one_image_at_a_time(model, entries, dtype)
-    assert extract_embeddings(model, NORM, [], 128) == []
+    assert extract_embeddings(model, NORM, []) == []
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +447,6 @@ def test_extraction_error_joins_the_decode_thread(three_chunk_entries,
     with pytest.raises(FloatingPointError,
                        match=f"injected after {2 * EMBED_BATCH} decodes"):
         extract_embeddings(eval_ready_model("float32"), NORM,
-                           three_chunk_entries, 128)
+                           three_chunk_entries)
     assert threading.active_count() == threads
     assert len(decoded) == 2 * EMBED_BATCH

@@ -274,6 +274,54 @@ def test_every_numeric_config_field_has_a_lower_bound():
     assert missing == []
 
 
+STORE_BOUNDS = ("MAX_CLASS_ID", "MAX_ID_BYTES")
+
+
+def store_bound_reads(text):
+    """Line numbers where `text` imports or reads `MAX_CLASS_ID` or
+    `MAX_ID_BYTES`, by name or as an attribute."""
+    found = set()
+    for n in ast.walk(ast.parse(text)):
+        if isinstance(n, ast.ImportFrom):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.Name):
+            names = [n.id]
+        elif isinstance(n, ast.Attribute):
+            names = [n.attr]
+        else:
+            continue
+        if set(names) & set(STORE_BOUNDS):
+            found.add(n.lineno)
+    return sorted(found)
+
+
+def test_store_bound_read_detector():
+    """The snippet is a class-range check of the kind `data.ingest` once
+    held beside the record rule."""
+    text = ("from .retrieval import MAX_CLASS_ID, VIEW_CODES\n"
+            "from . import retrieval\n"
+            "if not 0 <= class_id <= MAX_CLASS_ID:\n"
+            "    raise DataError('outside')\n"
+            "n = retrieval.MAX_ID_BYTES\n"
+            "s = 'MAX_ID_BYTES'\n")
+    assert store_bound_reads(text) == [1, 3, 5]
+
+
+def test_only_retrieval_reads_the_store_bounds():
+    """The store's id and class bounds are applied by the one record rule
+    in `retrieval.py`, which a manifest entry, an ingested directory and a
+    saved record all meet."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "retrieval.py":
+            continue
+        with open(path) as fh:
+            lines = store_bound_reads(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert not found
+
+
 CONCURRENCY_MODULES = ("threading", "_thread", "concurrent", "multiprocessing")
 
 
