@@ -5,7 +5,8 @@ is active (entered as a context manager). Calling `Tape.backward(loss)` replays
 the records once in strict reverse execution order and accumulates gradients
 into every `Parameter` that participated. Each record is dropped as it is
 replayed, so a training step's peak memory is its forward pass's saved
-activations, not those plus every gradient.
+activations, not those plus every gradient. A `Constant` input, such as the
+image batch, gets no gradient.
 
 Kernels themselves live in `sfde.ops`; this module only provides the value
 containers and the replay machinery.
@@ -50,6 +51,20 @@ class Tensor:
     def __repr__(self):
         return (f"{type(self).__name__}(shape={self.data.shape}, "
                 f"dtype={self.data.dtype})")
+
+
+class Constant(Tensor):
+    """A tensor that no gradient is taken for, such as a training step's
+    image batch: `Tape.backward` keeps no gradient for it, so `Tape.grad`
+    answers None, and a backward rule may skip computing one (the tap loop
+    of `ops.conv2d` does, through `needs_grad`)."""
+
+    __slots__ = ()
+
+
+def needs_grad(t: Tensor):
+    """Whether a backward rule must compute the gradient of input `t`."""
+    return not isinstance(t, Constant)
 
 
 class Parameter(Tensor):
@@ -119,7 +134,7 @@ class Tape:
             if gout is None:
                 continue
             for t, g in zip(inputs, backward_fn(gout)):
-                if g is None:
+                if g is None or not needs_grad(t):
                     continue
                 prev = grads.get(t)
                 grads[t] = g if prev is None else prev + g

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, record
+from .autodiff import Tensor, needs_grad, record
 
 
 class ShapeError(ValueError):
@@ -174,13 +174,28 @@ def gelu(a):
     """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = (1 + erf(x/sqrt 2))/2.
     erf is `_erf`: computed in float64 to within 2 ulp, then rounded once to
     x's dtype, so a float32 model sees the correctly rounded erf except in
-    the rare case of a value within 2 ulp (float64) of a float32 tie."""
+    the rare case of a value within 2 ulp (float64) of a float32 tie.
+
+    The backward pass builds its derivative g * (Phi + x * exp(-x^2/2) /
+    sqrt(2 pi)) in one array, by the same operations on the same operands in
+    the same order as that expression, so even a NaN keeps its bits."""
     x = a.data
     phi = 0.5 * (1.0 + _erf(x / _SQRT_2))
     out = Tensor(x * phi)
-    # the density is computed only when a backward pass needs it
-    record(out, [a], lambda g: (
-        g * (phi + x * (np.exp(-0.5 * x * x) / _SQRT_2PI)),))
+
+    # the density is computed only when a backward pass needs it; g has x's
+    # dtype, as every gradient has its tensor's
+    def bwd(g):
+        d = -0.5 * x
+        d *= x
+        np.exp(d, out=d)
+        d /= _SQRT_2PI
+        np.multiply(x, d, out=d)
+        np.add(phi, d, out=d)
+        np.multiply(g, d, out=d)
+        return (d,)
+
+    record(out, [a], bwd)
     return out
 
 
@@ -355,6 +370,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     strided slice of the padded input that meets kernel element (a, b) at
     every output position, contracted with the per-group weights as one
     (G, Og, Cg) x (N, G, Cg, Ho*Wo) matmul. A 1x1 conv is one matmul.
+    The tap loop skips dX for a `Constant` input (the image batch).
     """
     if x.ndim != 4:
         raise ShapeError(
@@ -372,7 +388,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         raise ShapeError(f"conv2d empty output for input {H}x{W}, K={Kh}, "
                          f"stride={s}, padding={p}, dilation={d}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xp = x.data
+    if p:
+        # zeros plus one copy: the same array as np.pad, at about 0.4x its time
+        xp = np.zeros((N, C, H + 2 * p, W + 2 * p), x.dtype)
+        xp[:, :, p:p + H, p:p + W] = x.data
     G, Og = groups, O // groups
     wg = w.data.reshape(G, Og, Cg, Kh, Kw)
     if Cg == 1:
@@ -395,22 +415,23 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             go = g.reshape(N, G, Og, Ho * Wo)
             wt = np.swapaxes(wg, 1, 2)
             gw = np.empty(wg.shape, dtype=np.result_type(go, xp))
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros_like(xp) if needs_grad(x) else None
             for a_, b_, rows, cols in taps:
                 gw[..., a_, b_] = np.matmul(
                     go, np.swapaxes(x_tap(rows, cols), -1, -2)).sum(axis=0)
-                gxp[:, :, rows, cols] += np.matmul(
-                    wt[..., a_, b_], go).reshape(N, C, Ho, Wo)
+                if gxp is not None:
+                    gxp[:, :, rows, cols] += np.matmul(
+                        wt[..., a_, b_], go).reshape(N, C, Ho, Wo)
             return gxp, gw
     out_d = out_d.reshape(N, O, Ho, Wo)
     if b is not None:
-        out_d = out_d + b.data[:, None, None]
+        out_d += b.data[:, None, None]
     out = Tensor(out_d)
 
     def bwd(g):
         gxp, gw = grads(g)
         gw = gw.reshape(O, Cg, Kh, Kw)
-        gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
+        gx = gxp[:, :, p:p + H, p:p + W] if p and gxp is not None else gxp
         if b is not None:
             return (gx, gw, g.sum(axis=(0, 2, 3)))
         return (gx, gw)
@@ -429,6 +450,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
 
     Train mode uses batch statistics (and requires batch size >= 2); eval
     mode uses the running statistics, which train mode updates in place.
+    The forward and backward passes work in place on as few full-size arrays
+    as they can, by the same operations on the same operands in the same
+    order as the written-out expressions, so even a NaN keeps its bits;
+    gamma and beta share a dtype, and g has x's.
     """
     xd = x.data
     if xd.ndim == 2:
@@ -458,21 +483,30 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         var = running_var.astype(xd.dtype)
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - ch(mu)) * ch(inv)
-    out = Tensor(xhat * ch(gamma.data) + ch(beta.data))
+    xhat = xd - ch(mu)
+    xhat *= ch(inv)
+    y = xhat * ch(gamma.data)
+    y += ch(beta.data)
+    out = Tensor(y)
 
     def bwd(g):
         gbeta = g.sum(axis=axes)
-        ggamma = (g * xhat).sum(axis=axes)
-        gxhat = g * ch(gamma.data)
+        t = g * xhat
+        ggamma = t.sum(axis=axes)
+        gx = g * ch(gamma.data)     # d xhat, turned into d x in place
         if training:
+            # inv / n * (n * gx - sum(gx) - xhat * sum(gx * xhat))
             n = xd.size // xd.shape[1]
-            gx = ch(inv) / n * (
-                n * gxhat
-                - gxhat.sum(axis=axes).reshape(view)
-                - xhat * (gxhat * xhat).sum(axis=axes).reshape(view))
+            np.multiply(gx, xhat, out=t)
+            s_xhat = t.sum(axis=axes).reshape(view)
+            s = gx.sum(axis=axes).reshape(view)
+            gx *= n
+            gx -= s
+            np.multiply(xhat, s_xhat, out=t)
+            gx -= t
+            np.multiply(ch(inv) / n, gx, out=gx)
         else:
-            gx = gxhat * ch(inv)
+            gx *= ch(inv)
         return (gx, ggamma, gbeta)
 
     record(out, [x, gamma, beta], bwd)

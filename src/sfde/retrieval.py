@@ -270,6 +270,8 @@ def _record_problem(rid, view, class_id):
         return f"id is longer than {MAX_ID_BYTES} UTF-8 bytes"
     if view not in VIEW_CODES:
         return f"view {view!r} is not one of {', '.join(VIEW_CODES)}"
+    if not isinstance(class_id, (int, np.integer)):
+        return f"class_id {class_id!r} is not an integer"
     if not 0 <= class_id <= MAX_CLASS_ID:
         return f"class_id {class_id} is outside 0..{MAX_CLASS_ID}"
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, ops, retrieval
-from .autodiff import Tape, Tensor
+from .autodiff import Constant, Tape, Tensor
 from .config import RunConfig
 from .data import DatasetManifest, load_image
 from .model import (CheckpointError, SFDEModel, load_checkpoint,
@@ -82,6 +82,12 @@ class StepLog:
 
 
 class ImageCache:
+    """Each image decoded once, by entry id, at `size`. `train` standardizes
+    the cached images in place once `compute_norm_stats` has read them, so
+    from then on `get` returns the standardized image; a flip commutes with
+    the per-channel standardization, so flipping it afterwards gives the
+    same bits as before."""
+
     def __init__(self, size):
         self.size = size
         self._cache = {}
@@ -116,9 +122,10 @@ def standardize(images, mean, std, out=None):
 def compute_batch_losses(model: SFDEModel, drone_imgs, sat_imgs, labels,
                          weights, training=True, rng=None):
     """Forward both views through the shared model (one combined batch, so
-    batch-norm sees the symmetric composition) and compute the three terms."""
+    batch-norm sees the symmetric composition) and compute the three terms.
+    The batch is a `Constant`: no gradient is taken for the images."""
     n = drone_imgs.shape[0]
-    batch = Tensor(np.concatenate([drone_imgs, sat_imgs], axis=0).astype(
+    batch = Constant(np.concatenate([drone_imgs, sat_imgs], axis=0).astype(
         model.cfg.np_dtype, copy=False))
     out = model(batch, training=training, rng=rng)
 
@@ -155,6 +162,10 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
           log_path=None, probe=None, probe_every=0):
     """Run the training loop; returns the list of StepLogs.
 
+    Each training image is decoded and standardized once, before the first
+    step, and kept in an `ImageCache`; a step stacks (and maybe flips) the
+    cached images. The image batch gets no gradient (`Constant`).
+
     `probe(model, norm_stats, class_index, step)` is an optional callback
     (used by tests to track retrieval quality during training).
     """
@@ -174,6 +185,9 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
     model = SFDEModel(config.model_config(num_classes=len(classes)), rng)
     cache = ImageCache(config.input_size)
     mean, std = compute_norm_stats(manifest, cache)
+    for e in manifest.subset("train"):
+        img = cache.get(e)
+        standardize(img, mean, std, out=img)
     weights = config.loss_weights()
     opt = AdamW(model.parameters(), weight_decay=config.weight_decay)
 
@@ -191,8 +205,8 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
                 di = di[:, :, ::-1]
             if rng.random() < config.flip_probability:
                 si = si[:, :, ::-1]
-            drone_imgs.append(standardize(di, mean, std))
-            sat_imgs.append(standardize(si, mean, std))
+            drone_imgs.append(di)
+            sat_imgs.append(si)
             labels.append(class_index[cid])
         drone_imgs = np.stack(drone_imgs)
         sat_imgs = np.stack(sat_imgs)

@@ -157,8 +157,11 @@ def test_manifest_holds_the_store_bounds_themselves(tmp_path):
     ("class_id", 2 ** 32, "class_id 4294967296 is outside 0..4294967295"),
     ("id", "a\0b", "id 'a\\x00b' holds a NUL character"),
     ("id", "x" * 65536, "id is longer than 65535 UTF-8 bytes"),
-    ("view", "aerial", "view 'aerial' is not one of drone, satellite")],
-    ids=["negative-class", "class-2^32", "nul-id", "long-id", "aerial"])
+    ("view", "aerial", "view 'aerial' is not one of drone, satellite"),
+    ("class_id", 1.5, "class_id 1.5 is not an integer"),
+    ("class_id", "3", "class_id '3' is not an integer")],
+    ids=["negative-class", "class-2^32", "nul-id", "long-id", "aerial",
+         "float-class", "str-class"])
 def test_manifest_entry_refuses_what_the_store_cannot_hold(field, value,
                                                            problem):
     """Built in code, not read from a file: the entry itself refuses."""
@@ -166,6 +169,12 @@ def test_manifest_entry_refuses_what_the_store_cannot_hold(field, value,
     kw[field] = value
     with pytest.raises(data.DataError, match=re.escape(problem)):
         data.ManifestEntry(**kw)
+
+
+def test_manifest_entry_keeps_a_numpy_integer_class_id():
+    for cid in (np.int64(3), np.uint32(2 ** 32 - 1)):
+        entry = data.ManifestEntry("a", "a.pgm", "drone", cid, "train")
+        assert entry.class_id == cid
 
 
 def test_manifest_refuses_a_repeated_id():

@@ -11,7 +11,7 @@ import pytest
 
 from sfde import data, losses, ops, retrieval
 from sfde import train as train_module
-from sfde.autodiff import Parameter, Tape, Tensor
+from sfde.autodiff import Constant, Parameter, Tape, Tensor
 from sfde.config import ConfigError, RunConfig
 from sfde.layers import Module
 from sfde.model import (OPTIMIZER_NOTE, CheckpointError, ModelConfig,
@@ -332,6 +332,60 @@ def test_train_loop_decreases_loss_and_logs(synth_dataset, tmp_path):
     loaded, header = load_checkpoint(ckpt)
     assert len(header["norm_mean"]) == 3
     assert header["classes"] == list(range(8))
+
+
+def test_train_standardizes_each_image_once(synth_dataset, tmp_path,
+                                            monkeypatch):
+    """Once per cached training image, before the first step; not once per
+    sampled image per step."""
+    _, manifest = synth_dataset
+    calls = []
+    real = train_module.standardize
+
+    def counting(images, *args, **kwargs):
+        calls.append(images.shape)
+        return real(images, *args, **kwargs)
+
+    monkeypatch.setattr(train_module, "standardize", counting)
+    train(RunConfig(**TOY, steps=5, batch_pairs=4), manifest,
+          str(tmp_path / "m.ckpt"))
+    assert calls == [(3, 128, 128)] * len(manifest.subset("train"))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_image_batch_gets_no_gradient(rng, monkeypatch, dtype):
+    """`compute_batch_losses` builds its batch as a `Constant`: the tape
+    keeps no gradient for it, and every parameter's gradient is bit-identical
+    to a pass whose batch is a plain `Tensor`."""
+    drone = rng.normal(size=(2, 3, 128, 128)).astype(dtype)
+    sat = rng.normal(size=(2, 3, 128, 128)).astype(dtype)
+    batches = []
+    forward = SFDEModel.__call__
+
+    def spy(self, x, *args, **kwargs):
+        batches.append(x)
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(SFDEModel, "__call__", spy)
+
+    def step():
+        model = toy_model(dtype=dtype)
+        with Tape() as tape:
+            total, *_ = compute_batch_losses(
+                model, drone, sat, np.array([0, 1]), losses.LossWeights(),
+                training=True)
+        tape.backward(total)
+        found = {}
+        _reachable_parameters(model, found)
+        return tape.grad(batches[-1]), [p.grad.tobytes()
+                                        for p in found.values()]
+
+    batch_grad, marked = step()
+    assert type(batches[-1]) is Constant and batch_grad is None
+    monkeypatch.setattr(train_module, "Constant", Tensor)
+    batch_grad, plain = step()
+    assert type(batches[-1]) is Tensor and batch_grad is not None
+    assert marked == plain
 
 
 def test_train_rejects_unpaired_manifest(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sfde import ops
-from sfde.autodiff import Tape, Tensor
+from sfde.autodiff import Constant, Tape, Tensor
 from sfde.layers import MultiHeadSelfAttention
 
 
@@ -175,6 +175,37 @@ def test_conv_matches_direct_loop_oracle(kind, dtype):
         assert got[name].shape == want.shape, name
         err = np.abs(got[name] - want).max() / max(1.0, np.abs(want).max())
         assert err < tol, (name, err)
+
+
+@pytest.mark.parametrize("kind", sorted(CONV_CASES))
+def test_conv_takes_no_gradient_for_a_constant_input(kind):
+    """A `Constant` input gets no dX: the tap loop skips it, and the tape
+    drops the banded form's. dW and db keep their bits."""
+    xs, ws, with_bias, s, p, d, groups = CONV_CASES[kind]
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=xs).astype(np.float32)
+    w = rng.normal(size=ws).astype(np.float32)
+    b = rng.normal(size=ws[0]).astype(np.float32) if with_bias else None
+    g = None
+
+    def grads(x_type):
+        nonlocal g
+        xt, wt = x_type(x), Tensor(w)
+        bt = Tensor(b) if with_bias else None
+        with Tape() as tape:
+            y = ops.conv2d(xt, wt, bt, stride=s, padding=p, dilation=d,
+                           groups=groups)
+            if g is None:
+                g = rng.normal(size=y.shape).astype(np.float32)
+            loss = ops.sum_(ops.mul(y, Tensor(g)))
+        tape.backward(loss)
+        return tape.grad(xt), [tape.grad(t).tobytes()
+                               for t in (wt, bt) if t is not None]
+
+    gx, gw = grads(Constant)
+    plain_gx, plain_gw = grads(Tensor)
+    assert gx is None and plain_gx is not None
+    assert gw == plain_gw
 
 
 # ---------------------------------------------------------------------------

@@ -636,7 +636,8 @@ def test_store_rejects_non_finite_vectors_on_load(tmp_path, bad):
 
 @pytest.mark.parametrize("field, value", [
     ("class_id", -1), ("class_id", 2 ** 32), ("id", "\u00e9" * 32768),
-    ("view", "aerial"), ("id", "a\0b")])
+    ("view", "aerial"), ("id", "a\0b"), ("class_id", 1.5),
+    ("class_id", "3")])
 def test_store_rejects_fields_out_of_range(tmp_path, field, value):
     rec = EmbeddingRecord("a", "drone", 0, unit([1, 0]))
     setattr(rec, field, value)
@@ -644,6 +645,14 @@ def test_store_rejects_fields_out_of_range(tmp_path, field, value):
     with pytest.raises(retrieval.StoreError):
         retrieval.save_embeddings([rec], path)
     assert not os.path.exists(path)
+
+
+def test_store_keeps_a_numpy_integer_class_id(tmp_path):
+    path = str(tmp_path / "store.bin")
+    retrieval.save_embeddings(
+        [EmbeddingRecord("a", "drone", np.uint32(2 ** 32 - 1), unit([1, 0]))],
+        path)
+    assert retrieval.load_embeddings(path)[0].class_id == 2 ** 32 - 1
 
 
 def test_store_load_refuses_nul_in_id(tmp_path):
