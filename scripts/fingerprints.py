@@ -8,15 +8,20 @@ checkout's `src/`. For each seed and BLAS thread count it makes a 12-class
 synthetic set (64 px) with that seed, trains the SMOKE config (channels
 8,16,16,32; 1 block; 128 px; 8 pairs) for 26 steps at that seed, embeds the
 drone and the satellite views, and evaluates drone queries against the
-satellite gallery at K = 1, 5, 10. It prints one line per output:
+satellite gallery at K = 1, 5, 10. It then saves both stores again under
+ids of one length (`d0000`, `d0001`, ... and `s0000`, ...) in `uniform/`
+and evaluates those too: their report blocks have columns of one width,
+which `write_reports` writes without a padding pass, while the synthetic
+ids differ in length. It prints one line per output:
 
     seed=1 threads=1 model.ckpt <sha256>
 
 covering the checkpoint and its loss log, both embedding stores, the three
-report CSVs and the stdout of `sfde eval`. (The manifest is left out: it
-holds the absolute paths of the run's temporary directory.) Each verb runs
-in a fresh Python process, because a BLAS thread count must be set before
-numpy is imported. Two checkouts agree when their outputs are identical.
+report CSVs and the stdout of `sfde eval`, then the stores, CSVs and stdout
+of the `uniform/` eval. (The manifest is left out: it holds the absolute
+paths of the run's temporary directory.) Each step runs in a fresh Python
+process, because a BLAS thread count must be set before numpy is imported.
+Two checkouts agree when their outputs are identical.
 """
 
 from __future__ import annotations
@@ -46,19 +51,51 @@ learning_rate = 0.003
 """
 
 
-def sfde(argv, threads):
-    """stdout of `sfde <argv>` in a fresh process with `threads` BLAS threads."""
+# saves the store argv[1] again at argv[2], record i under the id
+# argv[3] + f"{i:04d}"
+RESAVE_UNDER_PADDED_IDS = """\
+import sys
+from sfde import retrieval
+records = retrieval.load_embeddings(sys.argv[1])
+for i, r in enumerate(records):
+    r.id = f"{sys.argv[3]}{i:04d}"
+retrieval.save_embeddings(records, sys.argv[2])
+"""
+
+
+def python(argv, threads):
+    """stdout of `python <argv>` in a fresh process with `threads` BLAS
+    threads and this checkout's `src/` first on the import path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                  if p]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    proc = subprocess.run([sys.executable, "-m", "sfde.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"sfde {' '.join(argv)} exited {proc.returncode}:\n"
+        sys.exit(f"python {' '.join(argv)} exited {proc.returncode}:\n"
                  f"{proc.stderr}")
     return proc.stdout
+
+
+def sfde(argv, threads):
+    """stdout of `sfde <argv>`, run as `python`."""
+    return python(["-m", "sfde.cli", *argv], threads)
+
+
+def evaluate(path, stores, threads):
+    """Evaluate the `stores[0]` queries against the `stores[1]` gallery into
+    `path("reports")`, and keep its stdout in `path("eval.stdout")`; the
+    names of the two stores and of the four outputs."""
+    stdout = sfde(["eval", "--query", path(stores[0]), "--gallery",
+                   path(stores[1]), "--k", "1,5,10", "--out",
+                   path("reports")], threads)
+    with open(path("eval.stdout"), "w") as fh:
+        fh.write(stdout)
+    return stores + [os.path.join("reports", f"retrieval_{n}.csv")
+                     for n in ("rankings", "summary", "distances")] + [
+        "eval.stdout"]
 
 
 def fingerprints(seed, threads):
@@ -79,19 +116,20 @@ def fingerprints(seed, threads):
             sfde(["embed", "--ckpt", path("model.ckpt"), "--manifest",
                   path("manifest.csv"), "--split", "train", "--view", view,
                   "--out", path(f"{view}.bin")], threads)
-        stdout = sfde(["eval", "--query", path("drone.bin"), "--gallery",
-                       path("satellite.bin"), "--k", "1,5,10", "--out",
-                       path("reports")], threads)
-        files = ["model.ckpt", "model.ckpt.log.csv",
-                 "drone.bin", "satellite.bin"] + [
-            os.path.join("reports", f"retrieval_{n}.csv")
-            for n in ("rankings", "summary", "distances")]
+        stores = ["drone.bin", "satellite.bin"]
+        files = ["model.ckpt", "model.ckpt.log.csv"] + evaluate(
+            path, stores, threads)
+        os.mkdir(path("uniform"))
+        for name, prefix in zip(stores, "ds"):
+            python(["-c", RESAVE_UNDER_PADDED_IDS, path(name),
+                    path(os.path.join("uniform", name)), prefix], threads)
+        files += [os.path.join("uniform", name) for name in evaluate(
+            lambda name: path(os.path.join("uniform", name)), stores,
+            threads)]
         out = []
         for name in files:
             with open(path(name), "rb") as fh:
                 out.append((name, hashlib.sha256(fh.read()).hexdigest()))
-        out.append(("eval.stdout",
-                    hashlib.sha256(stdout.encode()).hexdigest()))
         return out
 
 

@@ -39,10 +39,10 @@ class Reader:
 
 
 def decode_utf8(blob, what, error, start=0):
-    """`blob` decoded as UTF-8. An invalid byte raises `error` naming `what`,
-    the byte and its offset, counted from `start`."""
+    """`blob` (bytes or a memoryview) decoded as UTF-8. An invalid byte raises
+    `error` naming `what`, the byte and its offset, counted from `start`."""
     try:
-        return blob.decode("utf-8")
+        return str(blob, "utf-8")
     except UnicodeDecodeError as e:
         raise error(f"{what} is not valid UTF-8 (byte {e.object[e.start]:#04x}"
                     f" at byte {start + e.start})") from None

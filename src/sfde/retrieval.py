@@ -202,11 +202,29 @@ def _ap_at(positions):
     return float(np.mean(np.arange(1, len(positions) + 1) / (positions + 1)))
 
 
+def _ap_rows(relevant):
+    """`_ap_at` of each row of the (m, G) bool rank-order `relevant`, bit for
+    bit, as a float64 array. The rows holding k relevant items are done
+    together: one (rows, k) array of their relevant positions per distinct
+    k, each row averaged along its contiguous last axis, so numpy sums it in
+    the same pairwise order as `_ap_at` sums one row. A row without a
+    relevant item gets 0.0."""
+    counts = relevant.sum(axis=1)
+    aps = np.zeros(len(relevant))
+    for k in np.unique(counts[counts > 0]):
+        rows = counts == k
+        pos = np.nonzero(relevant[rows])[1].reshape(-1, k)
+        aps[rows] = np.mean(np.arange(1, k + 1) / (pos + 1), axis=1)
+    return aps
+
+
 def evaluate(queries, gallery, k_values):
     """Rank the full gallery for every query. A gallery item is relevant
     when its class id equals the query's; the report's `relevant` holds that
     in rank order. Queries without any relevant gallery item are excluded
-    from the means and counted in `skipped_queries`. Each bad input is a
+    from the means and counted in `skipped_queries`. Each query's AP is
+    `_ap_at` of its relevant ranks, computed for all queries with the same
+    number of relevant items at once (`_ap_rows`). Each bad input is a
     `ValueError`: an empty gallery, query and gallery widths that differ, a
     K below 1 or above the gallery size, an id repeated within one side."""
     k_values = sorted(k_values)
@@ -242,7 +260,7 @@ def evaluate(queries, gallery, k_values):
                     dtype=np.int32)
     relevant = gcls[order] == qcls[:, None]
     rel = relevant[relevant.any(axis=1)]
-    aps = [_ap_at(np.flatnonzero(row)) for row in rel]
+    aps = _ap_rows(rel)
 
     n = len(aps)
     return RetrievalReport(
@@ -277,29 +295,37 @@ def _record_problem(rid, view, class_id):
 
 
 def save_embeddings(records, path):
-    """Atomic write (temp file + rename)."""
+    """Write `records` as a store, atomically (temp file + rename). The first
+    bad record raises, with the first check it fails: the vector's width
+    (that of the first record), its finiteness, then `_record_problem`. The
+    ids and tags are packed record by record, and the vectors from one
+    `<f4` block."""
     dim = len(records[0].vector) if records else 0
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<III", VERSION, len(records), dim)
+    vectors = [np.asarray(r.vector, dtype="<f4") for r in records]
+    n = next((i for i, v in enumerate(vectors) if v.shape != (dim,)),
+             len(records))
+    block = np.array(vectors[:n], dtype="<f4").reshape(n, dim)
+    finite = np.isfinite(block).all(axis=1)
+    rows = memoryview(block.reshape(-1).view(np.uint8))
+    parts = [MAGIC, struct.pack("<III", VERSION, len(records), dim)]
     for i, r in enumerate(records):
-        vec = np.asarray(r.vector, dtype="<f4")
-        if dim and vec.shape != (dim,):
-            raise StoreError(f"record {r.id!r} has dim {vec.shape}, expected {dim}")
-        if not np.isfinite(vec).all():
+        if i == n:
+            raise StoreError(
+                f"record {r.id!r} has dim {vectors[i].shape}, expected {dim}")
+        if not finite[i]:
             raise StoreNonFiniteError(f"record {r.id!r} vector is not finite")
         if problem := _record_problem(r.id, r.view, r.class_id):
             raise StoreError(f"record {i}: {problem}")
         rid = r.id.encode()
-        blob += struct.pack("<H", len(rid)) + rid
-        blob += struct.pack("<BI", VIEW_CODES[r.view], r.class_id)
-        blob += vec.tobytes()
-    write_atomic(path, blob)
+        parts += (struct.pack("<H", len(rid)), rid,
+                  struct.pack("<BI", VIEW_CODES[r.view], r.class_id),
+                  rows[4 * dim * i:4 * dim * (i + 1)])
+    write_atomic(path, b"".join(parts))
 
 
 def load_embeddings(path):
-    """The records of the store at `path`. Every format or numeric error in
-    the store names `path`."""
+    """The records of the store at `path` (see `_parse_store`). Every format
+    or numeric error in the store names `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -309,29 +335,60 @@ def load_embeddings(path):
 
 
 def _parse_store(blob):
-    r = Reader(blob, StoreError, StoreTruncatedError)
+    """The records of a store's bytes, in one pass. A walk over the records
+    reads each id and its tags and only appends the vector's bytes to one
+    buffer, which becomes a writeable (N, D) float32 block, each record's
+    `vector` a row of it; the vectors are then checked together
+    (`_check_vectors`). The first bad record raises the error a
+    record-by-record read would: when the walk fails at record j, its error
+    is raised once the vectors of the records before j have passed."""
+    r = Reader(memoryview(blob), StoreError, StoreTruncatedError)
     if r.take(4, "magic") != MAGIC:
         raise StoreMagicError("bad store magic")
     version, count, dim = r.unpack("<III", "header")
     if version != VERSION:
         raise StoreVersionError(f"unsupported store version {version}")
-    records = []
-    for i in range(count):
-        (nlen,) = r.unpack("<H", f"record {i} id length")
-        rid = r.text(nlen, f"record {i} id")
-        if "\0" in rid:
-            raise StoreError(f"record {rid!r} id holds a NUL character")
-        view_code, class_id = r.unpack("<BI", f"record {i} tags")
-        if view_code not in CODE_VIEWS:
-            raise StoreError(f"record {rid!r} has unknown view code {view_code}")
-        vec = np.frombuffer(r.take(4 * dim, f"record {i} vector"), dtype="<f4")
+    tags, vectors, walk_error = [], bytearray(), None
+    try:
+        for i in range(count):
+            (nlen,) = r.unpack("<H", f"record {i} id length")
+            rid = r.text(nlen, f"record {i} id")
+            if "\0" in rid:
+                raise StoreError(f"record {rid!r} id holds a NUL character")
+            view_code, class_id = r.unpack("<BI", f"record {i} tags")
+            if view_code not in CODE_VIEWS:
+                raise StoreError(
+                    f"record {rid!r} has unknown view code {view_code}")
+            vectors += r.take(4 * dim, f"record {i} vector")
+            tags.append((rid, CODE_VIEWS[view_code], class_id))
+    except StoreError as e:
+        walk_error = e
+    block = np.frombuffer(vectors, dtype="<f4").reshape(len(tags), dim)
+    _check_vectors(block, [t[0] for t in tags])
+    if walk_error is not None:
+        raise walk_error
+    r.end()
+    return [EmbeddingRecord(rid, view, class_id, vec)
+            for (rid, view, class_id), vec in zip(tags, block)]
+
+
+def _check_vectors(block, ids):
+    """Raise for the first row of the (N, D) float32 `block` that is not
+    finite or whose norm is not within 1e-4 of 1, as a per-record check
+    raises it. The norms are screened in float64, where the products of
+    float32 values are exact. Only the rows that fail the screen, non-finite
+    ones included, are checked with the per-record float32
+    `np.linalg.norm`, whose value decides and is printed. The screen is
+    tighter than the bound by half of it, or by the rounding bound of a
+    D-term float32 dot product where that is wider, so a row that passes it
+    passes the per-record check too."""
+    slack = max(0.5e-4, (block.shape[1] + 2) * 2.0 ** -24)
+    squares = np.einsum("ij,ij->i", block, block, dtype=np.float64)
+    for i in np.flatnonzero(~(np.abs(np.sqrt(squares) - 1.0) <= 1e-4 - slack)):
+        vec = block[i]
         if not np.isfinite(vec).all():
-            raise StoreNonFiniteError(f"record {rid!r} vector is not finite")
+            raise StoreNonFiniteError(f"record {ids[i]!r} vector is not finite")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-4:
             raise StoreVectorError(
-                f"record {rid!r} vector norm {norm:.6f} is not unit")
-        records.append(EmbeddingRecord(rid, CODE_VIEWS[view_code], class_id,
-                                       np.array(vec)))
-    r.end()
-    return records
+                f"record {ids[i]!r} vector norm {norm:.6f} is not unit")

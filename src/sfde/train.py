@@ -123,9 +123,11 @@ def compute_batch_losses(model: SFDEModel, drone_imgs, sat_imgs, labels,
                          weights, training=True, rng=None):
     """Forward both views through the shared model (one combined batch, so
     batch-norm sees the symmetric composition) and compute the three terms.
-    The batch is a `Constant`: no gradient is taken for the images."""
-    n = drone_imgs.shape[0]
-    batch = Constant(np.concatenate([drone_imgs, sat_imgs], axis=0).astype(
+    `drone_imgs` and `sat_imgs` each hold n (3, S, S) images, as a list or
+    as an (n, 3, S, S) array; the combined batch is stacked from them in one
+    copy. The batch is a `Constant`: no gradient is taken for the images."""
+    n = len(drone_imgs)
+    batch = Constant(np.stack([*drone_imgs, *sat_imgs]).astype(
         model.cfg.np_dtype, copy=False))
     out = model(batch, training=training, rng=rng)
 
@@ -163,8 +165,9 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
     """Run the training loop; returns the list of StepLogs.
 
     Each training image is decoded and standardized once, before the first
-    step, and kept in an `ImageCache`; a step stacks (and maybe flips) the
-    cached images. The image batch gets no gradient (`Constant`).
+    step, and kept in an `ImageCache`; a step picks (and maybe flips) the
+    cached images, and `compute_batch_losses` stacks them into the batch.
+    The image batch gets no gradient (`Constant`).
 
     `probe(model, norm_stats, class_index, step)` is an optional callback
     (used by tests to track retrieval quality during training).
@@ -208,8 +211,6 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
             drone_imgs.append(di)
             sat_imgs.append(si)
             labels.append(class_index[cid])
-        drone_imgs = np.stack(drone_imgs)
-        sat_imgs = np.stack(sat_imgs)
         labels = np.array(labels)
 
         model.zero_grads()
@@ -359,11 +360,13 @@ def _id_fields(ids):
     return _byte_table([_csv_field(i) + "," for i in ids])
 
 
+# `d.` for d = 0..9, then `-d.`, three bytes wide; a block without a sign
+# bit takes its heads from `_HEADS2`, the first ten two bytes wide
 _HEADS = _byte_table([f"{sign}{d}." for sign in ("", "-") for d in range(10)])
+_HEADS2 = _HEADS[:10].astype("S2")
 _DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
             + ord("0")).astype(np.uint8).view("S4").ravel()
 _PAIRS = _byte_table(["negative,", "positive,"])
-_NEWLINE = np.array(b"\n")
 
 
 def _fixed8(values):
@@ -373,12 +376,19 @@ def _fixed8(values):
     product is within 6e-8 of the exact |v| * 1e8, so n is the correctly
     rounded value unless the product lies within 1e-6 of a .5 boundary.
     Those values, |v| >= 9.5 and non-finite values are formatted by Python.
-    """
+
+    A field is three bytes of head (`d.` padded with NUL, or `-d.`) and
+    eight digits. When no value has its sign bit set the head is `d.` and
+    the field ten bytes, so a block of such values below 9.5 has no NUL at
+    all. The field widens to the longest value formatted by Python."""
     mag = np.abs(values)
     fast = mag < 9.5
     scaled = np.where(fast, mag, 0.0) * 1e8
     fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
-    slow = _byte_table([f"{v:.8f}" for v in values[~fast].tolist()], 11)
+    sign = np.signbit(values)
+    heads = _HEADS if sign.any() else _HEADS2
+    width = heads.itemsize + 8
+    slow = _byte_table([f"{v:.8f}" for v in values[~fast].tolist()], width)
     # n <= 9.5e8 fits int32, whose floor division is several times faster
     # than np.divmod or int64 division
     n = np.rint(scaled).astype(np.int32)
@@ -386,28 +396,41 @@ def _fixed8(values):
     frac = n - whole * 10 ** 8
     hi = frac // 10 ** 4
     lo = frac - hi * 10 ** 4
-    out = np.zeros(values.shape, {"names": ["head", "hi", "lo"],
-                                  "formats": ["S3", "S4", "S4"],
-                                  "offsets": [0, 3, 7],
-                                  "itemsize": slow.itemsize})
-    out["head"] = _HEADS.take(whole + 10 * np.signbit(values))
-    out["hi"], out["lo"] = _DIGITS4.take(hi), _DIGITS4.take(lo)
-    out = out.view(slow.dtype)
+    out = np.empty(values.shape + (slow.itemsize,), np.uint8)
+    _copy_field(out, 0, heads.take(whole + 10 * sign))
+    _copy_field(out, width - 8, _DIGITS4.take(hi))
+    _copy_field(out, width - 4, _DIGITS4.take(lo))
+    out[..., width:] = 0
+    out = out.view(slow.dtype)[..., 0]
     out[~fast] = slow
     return out
 
 
+def _copy_field(rows, start, column):
+    """Copy the `S` array `column`, broadcast, into bytes `start` onward of
+    each row of the uint8 buffer `rows`. The copy goes through `V` views:
+    unlike the assignment of a structured-array field, it does not hold the
+    interpreter lock, so two report writers run side by side."""
+    width = column.itemsize
+    rows[..., start:start + width].view(f"V{width}")[..., 0] = column.view(
+        f"V{width}")
+
+
 def _csv_rows(*columns):
     """Rows of `S` fields, one field from each column, the columns broadcast
-    to one shape, as back-to-back bytes with a newline after each row. No
-    field holds NUL, so dropping every NUL drops just the padding."""
-    columns += (_NEWLINE,)
-    rows = np.empty(np.broadcast_shapes(*(c.shape for c in columns)),
-                    [(f"f{i}", c.dtype) for i, c in enumerate(columns)])
-    for i, c in enumerate(columns):
-        rows[f"f{i}"] = c
-    raw = rows.view(np.uint8)
-    return raw[raw != 0].tobytes()
+    to one shape, as a uint8 array of back-to-back bytes with a newline
+    after each row. A field holds NUL only as padding, so dropping every NUL drops just the
+    padding; a block whose columns each have one width has none, and its
+    row buffer is returned as it is."""
+    rows = np.empty(np.broadcast_shapes(*(c.shape for c in columns))
+                    + (sum(c.itemsize for c in columns) + 1,), np.uint8)
+    start = 0
+    for c in columns:
+        _copy_field(rows, start, c)
+        start += c.itemsize
+    rows[..., start] = ord("\n")
+    raw = rows.reshape(-1)
+    return raw if raw.all() else raw[raw != 0]
 
 
 # about this many CSV rows are built at a time by each of the two writers,

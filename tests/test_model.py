@@ -388,6 +388,30 @@ def test_image_batch_gets_no_gradient(rng, monkeypatch, dtype):
     assert marked == plain
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_image_lists_and_arrays_give_bit_identical_steps(rng, dtype):
+    """`train` passes each view as a list of images, flipped ones as
+    reversed views; the other callers pass (n, 3, S, S) arrays. Both give
+    bit-identical losses and parameter gradients."""
+    drone = [rng.normal(size=(3, 128, 128)).astype(dtype) for _ in range(2)]
+    sat = [rng.normal(size=(3, 128, 128)).astype(dtype)[:, :, ::-1]
+           for _ in range(2)]
+
+    def step(drone_imgs, sat_imgs):
+        model = toy_model(dtype=dtype)
+        with Tape() as tape:
+            terms = compute_batch_losses(
+                model, drone_imgs, sat_imgs, np.array([0, 1]),
+                losses.LossWeights(), training=True)[:4]
+        tape.backward(terms[0])
+        found = {}
+        _reachable_parameters(model, found)
+        return ([t.data.tobytes() for t in terms],
+                [p.grad.tobytes() for p in found.values()])
+
+    assert step(drone, sat) == step(np.stack(drone), np.stack(sat))
+
+
 def test_train_rejects_unpaired_manifest(tmp_path):
     vdir = tmp_path / "train" / "0" / "drone"
     vdir.mkdir(parents=True)

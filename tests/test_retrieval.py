@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sfde import retrieval, train as training
+from sfde.binio import Reader
 from sfde.retrieval import EmbeddingRecord
 
 
@@ -218,6 +219,19 @@ def test_ap_hand_cases():
     assert retrieval.average_precision(["x", "y", "a"], {"a"}) == pytest.approx(1 / 3)
     ranked = ["r1", "x1", "x2", "r2"] + [f"x{i}" for i in range(3, 9)]
     assert retrieval.average_precision(ranked, {"r1", "r2"}) == pytest.approx(0.75)
+
+
+def test_ap_by_relevant_count_matches_ap_at_bit_for_bit(rng):
+    """`evaluate` averages the rows with k relevant items together. numpy's
+    pairwise summation changes shape at 8 and at 128 terms, so the counts
+    straddle both; a row without a relevant item gets 0.0."""
+    counts = rng.permutation([0, 1, 7, 8, 9, 127, 128, 129, 300] * 3)
+    relevant = np.zeros((len(counts), 600), dtype=bool)
+    for row, k in zip(relevant, counts):
+        row[rng.choice(600, size=k, replace=False)] = True
+    expected = [retrieval._ap_at(np.flatnonzero(row)) for row in relevant]
+    assert retrieval._ap_rows(relevant).tobytes() == \
+        np.array(expected).tobytes()
 
 
 def brute_force_metrics(queries, gallery, k_values):
@@ -458,6 +472,72 @@ def test_report_scores_match_python_formatting(tmp_path, monkeypatch):
         set(fallback)
 
 
+# values for `_fixed8` by the path each takes: with and without a sign bit,
+# with a value formatted by Python wider than a field of the fast path, and
+# at .5 boundaries of the eighth decimal (formatted by Python, same width)
+FIXED8_BLOCKS = {
+    "non-negative": [0.0, 1e-10, 0.5, 0.12345678, 1.0, 2.0, 9.49999999],
+    "half boundary": [0.5e-8, 1.5e-8, 0.123456785, 1 / 512, 0.25],
+    "signed zero": [0.25, -0.0, 0.0],
+    "negative": [0.5, -0.5, -1.0, -9.4],
+    "at least 9.5": [9.5, 12.5, 123.456, 0.3],
+    "negative at least 9.5": [-37.0, 0.5, 9.75],
+    "non-finite": [np.nan, np.inf, 0.1],
+    "negative non-finite": [-np.inf, 0.1],
+}
+
+
+@pytest.mark.parametrize("block", FIXED8_BLOCKS)
+def test_fixed8_matches_python_formatting(block):
+    """Each field is `f"{v:.8f}"` padded with NUL; it is ten bytes wide, with
+    no NUL in a value below 9.5, when no value of the block has its sign
+    bit set, and at least eleven otherwise."""
+    values = np.array(FIXED8_BLOCKS[block])
+    out = training._fixed8(values)
+    texts = [f"{v:.8f}" for v in values.tolist()]
+    assert [f.replace(b"\0", b"").decode() for f in out.tolist()] == texts
+    head = 3 if np.signbit(values).any() else 2
+    assert out.itemsize == max([head + 8] + [len(t) for t in texts])
+
+
+@pytest.mark.parametrize("ids", [["q1", "q2", "q3"],
+                                 ["q1", "q22", "\u00e9\u6771333"],
+                                 ["a,b", 'say "hi"', "c"]])
+@pytest.mark.parametrize("block", FIXED8_BLOCKS)
+def test_csv_rows_match_f_string_rows(rng, ids, block):
+    """Rankings and distances rows built as `write_reports` builds them equal
+    rows built with f-strings. A block whose columns each have one width
+    (ids of one length, no sign bit, no value of 9.5 or more) has no
+    padding to drop; every other block has some."""
+    values = np.array(FIXED8_BLOCKS[block])
+    gids = [f"g{j}" for j in range(len(values))]
+    order = np.array([rng.permutation(len(values)) for _ in ids])
+    relevant = rng.random(order.shape) < 0.5
+    qfields, gfields = training._id_fields(ids), training._id_fields(gids)
+    ranks = training._byte_table([f"{r}," for r in range(1, len(gids) + 1)])
+    fixed8 = training._fixed8(values[order])
+    rank_rows = training._csv_rows(qfields[:, None], ranks, gfields[order],
+                                   fixed8)
+    dist_rows = training._csv_rows(
+        qfields[:, None], gfields[order],
+        training._PAIRS[relevant.astype(np.intp)], fixed8)
+    fields = [training._csv_field(q) for q in ids]
+    rank_lines = dist_lines = ""
+    for q, row, rel in zip(fields, order, relevant):
+        for rank, (g, r) in enumerate(zip(row, rel), start=1):
+            text = f"{values[g]:.8f}"
+            rank_lines += f"{q},{rank},{gids[g]},{text}\n"
+            pair = "positive" if r else "negative"
+            dist_lines += f"{q},{gids[g]},{pair},{text}\n"
+    assert bytes(rank_rows) == rank_lines.encode()
+    assert bytes(dist_rows) == dist_lines.encode()
+    unpadded = (len({len(f.encode()) for f in fields}) == 1
+                and block in ("non-negative", "half boundary"))
+    width = (qfields.itemsize + gfields.itemsize + training._PAIRS.itemsize
+             + fixed8.itemsize + 1)
+    assert (len(dist_rows) == order.size * width) == unpadded
+
+
 def test_reports_refuse_nul_in_ids(tmp_path):
     report = _score_report([[0.5]])
     report.gallery_ids = ["g\0"]
@@ -682,3 +762,230 @@ def test_store_error_codes_are_distinct():
                                   retrieval.StoreTruncatedError,
                                   retrieval.StoreVectorError)}
     assert len(codes) == 4
+
+
+# The record-by-record store writer and reader that the one-pass
+# `save_embeddings` and `_parse_store` replaced, kept as their oracles.
+
+def oracle_store_bytes(records):
+    dim = len(records[0].vector) if records else 0
+    blob = bytearray(retrieval.MAGIC)
+    blob += struct.pack("<III", retrieval.VERSION, len(records), dim)
+    for i, r in enumerate(records):
+        vec = np.asarray(r.vector, dtype="<f4")
+        if dim and vec.shape != (dim,):
+            raise retrieval.StoreError(
+                f"record {r.id!r} has dim {vec.shape}, expected {dim}")
+        if not np.isfinite(vec).all():
+            raise retrieval.StoreNonFiniteError(
+                f"record {r.id!r} vector is not finite")
+        if problem := retrieval._record_problem(r.id, r.view, r.class_id):
+            raise retrieval.StoreError(f"record {i}: {problem}")
+        rid = r.id.encode()
+        blob += struct.pack("<H", len(rid)) + rid
+        blob += struct.pack("<BI", retrieval.VIEW_CODES[r.view], r.class_id)
+        blob += vec.tobytes()
+    return bytes(blob)
+
+
+def oracle_parse_store(blob):
+    r = Reader(blob, retrieval.StoreError, retrieval.StoreTruncatedError)
+    if r.take(4, "magic") != retrieval.MAGIC:
+        raise retrieval.StoreMagicError("bad store magic")
+    version, count, dim = r.unpack("<III", "header")
+    if version != retrieval.VERSION:
+        raise retrieval.StoreVersionError(
+            f"unsupported store version {version}")
+    records = []
+    for i in range(count):
+        (nlen,) = r.unpack("<H", f"record {i} id length")
+        rid = r.text(nlen, f"record {i} id")
+        if "\0" in rid:
+            raise retrieval.StoreError(
+                f"record {rid!r} id holds a NUL character")
+        view_code, class_id = r.unpack("<BI", f"record {i} tags")
+        if view_code not in retrieval.CODE_VIEWS:
+            raise retrieval.StoreError(
+                f"record {rid!r} has unknown view code {view_code}")
+        vec = np.frombuffer(r.take(4 * dim, f"record {i} vector"),
+                            dtype="<f4")
+        if not np.isfinite(vec).all():
+            raise retrieval.StoreNonFiniteError(
+                f"record {rid!r} vector is not finite")
+        norm = float(np.linalg.norm(vec))
+        if abs(norm - 1.0) > 1e-4:
+            raise retrieval.StoreVectorError(
+                f"record {rid!r} vector norm {norm:.6f} is not unit")
+        records.append(EmbeddingRecord(rid, retrieval.CODE_VIEWS[view_code],
+                                       class_id, np.array(vec)))
+    r.end()
+    return records
+
+
+def outcome(fn, *args):
+    """("ok", fields of each record) or (error type, message) of fn(*args)."""
+    try:
+        out = fn(*args)
+    except (retrieval.StoreError, retrieval.StoreNonFiniteError) as e:
+        return type(e), str(e)
+    if isinstance(out, bytes):
+        return "ok", out
+    return "ok", [(r.id, r.view, r.class_id, r.vector.dtype.str,
+                   r.vector.shape, r.vector.tobytes()) for r in out]
+
+
+def store_records(rng, n, dim):
+    """Unit records with ids of varied length (UTF-8, quotes, commas, empty)
+    and class ids over the whole u32 range."""
+    alphabet = list('ab,"_9\u00e9\u6771')
+    return [EmbeddingRecord(
+        "".join(rng.choice(alphabet, size=int(rng.integers(0, 9)))),
+        ("drone", "satellite")[int(rng.integers(2))],
+        int(rng.integers(0, 2 ** 32)), unit(rng.normal(size=dim)))
+        for _ in range(n)]
+
+
+def save_outcome(records, path):
+    try:
+        retrieval.save_embeddings(records, path)
+    except (retrieval.StoreError, retrieval.StoreNonFiniteError) as e:
+        assert not os.path.exists(path)
+        return type(e), str(e)
+    with open(path, "rb") as fh:
+        return "ok", fh.read()
+
+
+def test_store_save_and_load_match_the_record_by_record_oracles(rng,
+                                                                 tmp_path):
+    for trial in range(40):
+        dim = int(rng.choice([1, 2, 3, 7, 96, 1000]))
+        records = store_records(rng, int(rng.integers(0, 30)), dim)
+        path = str(tmp_path / f"t{trial}.bin")
+        assert save_outcome(records, path) == \
+            outcome(oracle_store_bytes, records)
+        blob = open(path, "rb").read()
+        assert outcome(retrieval._parse_store, blob) == \
+            outcome(oracle_parse_store, blob)
+    loaded = retrieval._parse_store(blob)
+    assert all(r.vector.flags.writeable for r in loaded)
+
+
+SAVE_FAULTS = {
+    "width": lambda r: setattr(r, "vector", np.append(r.vector, 0.0)),
+    "nan": lambda r: r.vector.__setitem__(0, np.nan),
+    "inf": lambda r: r.vector.__setitem__(-1, -np.inf),
+    "view": lambda r: setattr(r, "view", "aerial"),
+    "class": lambda r: setattr(r, "class_id", -1),
+    "nul": lambda r: setattr(r, "id", "a\0b"),
+}
+
+
+@pytest.mark.parametrize("first", SAVE_FAULTS)
+@pytest.mark.parametrize("second", SAVE_FAULTS)
+def test_store_save_raises_for_the_first_bad_record(rng, tmp_path, first,
+                                                    second):
+    """The first bad record raises with the first check it fails, also when a
+    later record is bad in another way, or in two ways at once."""
+    for i, j in ((1, 2), (2, 5), (4, 4)):
+        records = store_records(rng, 6, 5)
+        SAVE_FAULTS[first](records[i])
+        SAVE_FAULTS[second](records[j])
+        path = str(tmp_path / f"{i}{j}.bin")
+        got = save_outcome(records, path)
+        assert got[0] != "ok" and got == outcome(oracle_store_bytes, records)
+
+
+def test_store_save_refuses_a_vector_wider_than_an_empty_first_one(tmp_path):
+    """The width of the first vector binds every record, even when it is 0
+    (a record-by-record writer skipped the check then and wrote a store
+    whose count and dimension misread the bytes that follow)."""
+    path = str(tmp_path / "store.bin")
+    records = [EmbeddingRecord("a", "drone", 0, np.zeros(0, np.float32)),
+               unit_record("b")]
+    with pytest.raises(retrieval.StoreError,
+                       match=r"record 'b' has dim \(2,\), expected 0"):
+        retrieval.save_embeddings(records, path)
+    assert not os.path.exists(path)
+
+
+def raw_store(rows, dim):
+    """Store bytes from (id bytes, view code, class id, vector) rows, and the
+    offset where each record starts."""
+    blob = retrieval.MAGIC + struct.pack("<III", retrieval.VERSION, len(rows),
+                                         dim)
+    starts = []
+    for rid, code, class_id, vec in rows:
+        starts.append(len(blob))
+        blob += (struct.pack("<H", len(rid)) + rid
+                 + struct.pack("<BI", code, class_id)
+                 + np.asarray(vec, dtype="<f4").tobytes())
+    return blob, starts
+
+
+def plant(row, fault):
+    rid, code, class_id, vec = row
+    vec = np.array(vec, dtype=np.float32)
+    if fault == "utf8":
+        rid = b"\xffx"
+    elif fault == "nul":
+        rid = b"a\0b"
+    elif fault == "view":
+        code = 9
+    elif fault == "nan":
+        vec[1] = np.nan
+    elif fault == "inf":
+        vec[0] = np.inf
+    elif fault == "norm":
+        vec *= 1.01
+    elif fault == "zero":
+        vec[:] = 0.0
+    return rid, code, class_id, vec
+
+
+@pytest.mark.parametrize("first", ["utf8", "nul", "view", "nan", "inf",
+                                   "norm", "zero"])
+@pytest.mark.parametrize("second", ["utf8", "nul", "view", "nan", "norm",
+                                    "truncated", "trailing"])
+def test_store_load_raises_for_the_first_bad_record(rng, first, second):
+    """A record-by-record reader's error for the first bad record, as type
+    and message, whatever a later record holds: a fault in the walk over
+    the ids and tags of a later record (or a truncation or trailing bytes)
+    is raised only after the vectors before it have passed."""
+    dim = 5
+    for i, j in ((0, 1), (1, 4), (3, 5)):
+        rows = [(r.id.encode(), retrieval.VIEW_CODES[r.view], r.class_id,
+                 r.vector) for r in store_records(rng, 6, dim)]
+        rows[i] = plant(rows[i], first)
+        if second not in ("truncated", "trailing"):
+            rows[j] = plant(rows[j], second)
+        blob, starts = raw_store(rows, dim)
+        if second == "truncated":
+            end = starts[j + 1] if j + 1 < len(starts) else len(blob)
+            blob = blob[:int(rng.integers(starts[j], end))]
+        elif second == "trailing":
+            blob += b"\0"
+        expected = outcome(oracle_parse_store, blob)
+        assert expected[0] != "ok"
+        assert outcome(retrieval._parse_store, blob) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 5, 96])
+def test_store_load_decides_norms_at_the_bound_as_the_oracle(rng, dim):
+    """Vectors whose float32 norm steps one ulp at a time across 1 - 1e-4
+    and 1 + 1e-4 are accepted and refused as a record-by-record reader
+    accepts and refuses them."""
+    base = unit(rng.normal(size=dim)).astype(np.float64)
+    decided = set()
+    for edge in (1 - 1e-4, 1 + 1e-4):
+        scale = np.float32(edge)
+        for _ in range(6):
+            scale = np.nextafter(scale, np.float32(0))
+        for _ in range(12):
+            vec = (base * float(scale)).astype(np.float32)
+            blob, _ = raw_store([(b"q", 0, 0, vec), (b"r", 1, 1, unit(base))],
+                                dim)
+            expected = outcome(oracle_parse_store, blob)
+            assert outcome(retrieval._parse_store, blob) == expected
+            decided.add(expected[0])
+            scale = np.nextafter(scale, np.float32(2))
+    assert decided == {"ok", retrieval.StoreVectorError}
