@@ -12,7 +12,9 @@ satellite gallery at K = 1, 5, 10. It then saves both stores again under
 ids of one length (`d0000`, `d0001`, ... and `s0000`, ...) in `uniform/`
 and evaluates those too: their report blocks have columns of one width,
 which `write_reports` writes without a padding pass, while the synthetic
-ids differ in length. It prints one line per output:
+ids differ in length. That eval writes into a copy of the first eval's
+reports, so it rewrites report files that are longer than its own, as
+their ids are longer. It prints one line per output:
 
     seed=1 threads=1 model.ckpt <sha256>
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -119,7 +122,8 @@ def fingerprints(seed, threads):
         stores = ["drone.bin", "satellite.bin"]
         files = ["model.ckpt", "model.ckpt.log.csv"] + evaluate(
             path, stores, threads)
-        os.mkdir(path("uniform"))
+        shutil.copytree(path("reports"), path(os.path.join("uniform",
+                                                          "reports")))
         for name, prefix in zip(stores, "ds"):
             python(["-c", RESAVE_UNDER_PADDED_IDS, path(name),
                     path(os.path.join("uniform", name)), prefix], threads)

@@ -10,32 +10,43 @@ import struct
 class Reader:
     """Reads one blob front to back. Malformed contents raise the caller's
     `error` class; a read past the end raises `truncated`, by default the
-    same class."""
+    same class. Each read names what it reads, for its error: `what`, or
+    `what % index` when an index is given, formatted only for the error."""
 
     def __init__(self, blob, error, truncated=None):
         self.blob, self.off = blob, 0
         self.error, self.truncated = error, truncated or error
 
-    def take(self, n, what):
+    def take(self, n, what, index=None):
         start, self.off = self.off, self.off + n
         if self.off > len(self.blob):
-            raise self.truncated(f"truncated reading {what} at byte {start} "
-                                 f"(need {n}, have {len(self.blob) - start})")
+            raise self.truncated(f"truncated reading {_label(what, index)} at "
+                                 f"byte {start} (need {n}, have "
+                                 f"{len(self.blob) - start})")
         return self.blob[start:self.off]
 
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+    def unpack(self, fmt, what, index=None):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what, index))
 
-    def text(self, n, what):
+    def text(self, n, what, index=None):
         """The next `n` bytes decoded as UTF-8."""
         start = self.off
-        return decode_utf8(self.take(n, what), what, self.error, start)
+        blob = self.take(n, what, index)
+        try:
+            return str(blob, "utf-8")
+        except UnicodeDecodeError:
+            # raises, naming the bad byte
+            return decode_utf8(blob, _label(what, index), self.error, start)
 
     def end(self):
         """Raise the error class unless every byte has been read."""
         if self.off < len(self.blob):
             raise self.error(f"{len(self.blob) - self.off} trailing bytes at "
                              f"byte {self.off}")
+
+
+def _label(what, index):
+    return what if index is None else what % index
 
 
 def decode_utf8(blob, what, error, start=0):

@@ -124,9 +124,10 @@ MANIFEST_COLUMNS = ["id", "path", "view", "class_id", "split"]
 VIEWS = tuple(VIEW_CODES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifestEntry:
-    """One image; building one a store could not hold is a `DataError`."""
+    """One image; building one a store could not hold is a `DataError`. An
+    entry cannot be changed once built, so every entry meets that rule."""
     id: str
     path: str
     view: str

@@ -351,15 +351,15 @@ def _parse_store(blob):
     tags, vectors, walk_error = [], bytearray(), None
     try:
         for i in range(count):
-            (nlen,) = r.unpack("<H", f"record {i} id length")
-            rid = r.text(nlen, f"record {i} id")
+            (nlen,) = r.unpack("<H", "record %d id length", i)
+            rid = r.text(nlen, "record %d id", i)
             if "\0" in rid:
                 raise StoreError(f"record {rid!r} id holds a NUL character")
-            view_code, class_id = r.unpack("<BI", f"record {i} tags")
+            view_code, class_id = r.unpack("<BI", "record %d tags", i)
             if view_code not in CODE_VIEWS:
                 raise StoreError(
                     f"record {rid!r} has unknown view code {view_code}")
-            vectors += r.take(4 * dim, f"record {i} vector")
+            vectors += r.take(4 * dim, "record %d vector", i)
             tags.append((rid, CODE_VIEWS[view_code], class_id))
     except StoreError as e:
         walk_error = e

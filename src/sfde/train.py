@@ -438,12 +438,35 @@ def _csv_rows(*columns):
 _REPORT_BLOCK_ROWS = 1 << 14
 
 
+def _keep_blocks(path, flags):
+    """`open`'s opener for a file written over in place: the flags of
+    `open(path, "wb")` without `O_TRUNC`, and its mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_csv(path, header, blocks, fields):
-    """A CSV file: `header`, then the rows of `fields(rows)` for each block."""
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for rows in blocks:
-            fh.write(_csv_rows(*fields(rows)))
+    """A CSV file: `header`, then the rows of `fields(rows)` for each block.
+
+    An existing file is written over from byte 0 and then cut at the last
+    byte written, on success and on error alike, so it ends where the new
+    bytes end, as after `open(path, "wb")`. Unlike that, it keeps the old
+    file's blocks instead of freeing them for the new rows to allocate
+    again: writing the two eval-gallery CSVs (63 MB) over old ones took
+    16.5 ms this way and 51-52 ms after truncating (ext4, 2 vCPUs, medians
+    of 15). A cut that fails after an error is not raised over that
+    error."""
+    with open(path, "wb", opener=_keep_blocks) as fh:
+        try:
+            fh.write(header)
+            for rows in blocks:
+                fh.write(_csv_rows(*fields(rows)))
+        except BaseException:
+            try:
+                fh.truncate()
+            except OSError:
+                pass
+            raise
+        fh.truncate()
 
 
 def write_reports(report, out_dir):
@@ -461,7 +484,14 @@ def write_reports(report, out_dir):
     the helper is joined before the error propagates; an error in the
     rankings CSV (an interrupt included) wins over one in the distances CSV
     and stops the helper after the block it is writing. An id holding NUL
-    is a `ValueError`, raised before the helper starts."""
+    is a `ValueError`, raised before the helper starts.
+
+    Existing CSVs are written over in place and cut to length
+    (`_write_csv`), so on an error each CSV ends at its last byte written.
+    An existing summary is removed before either CSV is written, and the
+    summary is written last, so a failed or killed run leaves no summary.
+    A process killed mid-write can leave a CSV whose new rows are followed
+    by the old file's remaining bytes."""
     os.makedirs(out_dir, exist_ok=True)
     rank_path = os.path.join(out_dir, "retrieval_rankings.csv")
     summary_path = os.path.join(out_dir, "retrieval_summary.csv")
@@ -491,6 +521,10 @@ def write_reports(report, out_dir):
                 return
             yield rows
 
+    try:
+        os.remove(summary_path)
+    except FileNotFoundError:
+        pass
     # imported here for the reason given in `extract_embeddings`
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline and exit-code contracts."""
 
+import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -58,6 +60,17 @@ def pipeline(tmp_path_factory):
                      "--out", g]) == cli.EXIT_OK
     return dict(base=base, root=root, manifest=manifest, cfg=cfg,
                 ckpt=ckpt, query=q, gallery=g)
+
+
+def _edited_manifest(src, dst, edit):
+    """The manifest CSV `src` written again at `dst`, each data row (a list
+    of its fields) passed through `edit` first. The rows go through `csv`
+    only, so a field that no `ManifestEntry` may hold is written as it is."""
+    with open(src, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + [edit(r) for r in rows])
+    return dst
 
 
 def test_selftest_passes_and_prints_table(capsys):
@@ -359,10 +372,9 @@ def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
 def test_train_without_train_entries_is_validation_error(pipeline, tmp_path,
                                                          capsys):
     manifest = data.load_manifest(pipeline["manifest"])
-    for e in manifest.entries:
-        e.split = "test"
     bad = str(tmp_path / "no_train.csv")
-    data.save_manifest(manifest, bad)
+    data.save_manifest(data.DatasetManifest(
+        [dataclasses.replace(e, split="test") for e in manifest.entries]), bad)
     out = tmp_path / "m.ckpt"
     code = cli.main(["train", "--config", pipeline["cfg"], "--manifest", bad,
                      "--out", str(out)])
@@ -527,14 +539,17 @@ def test_train_on_a_row_the_store_cannot_hold_is_validation_error(
     """Refused when the manifest is read, before any image is decoded; a
     class id is changed on every entry of its class, so the manifest stays
     paired."""
-    manifest = data.load_manifest(pipeline["manifest"])
-    first = manifest.entries[0]
-    targets = ([e for e in manifest.entries if e.class_id == first.class_id]
-               if field == "class_id" else [first])
-    for e in targets:
-        setattr(e, field, value)
-    bad = str(tmp_path / "bad.csv")
-    data.save_manifest(manifest, bad)
+    first = data.load_manifest(pipeline["manifest"]).entries[0]
+    column = data.MANIFEST_COLUMNS.index(field)
+
+    def edit(row):
+        if (row[3] == str(first.class_id) if field == "class_id"
+                else row[0] == first.id):
+            row[column] = str(value)
+        return row
+
+    bad = _edited_manifest(pipeline["manifest"], str(tmp_path / "bad.csv"),
+                           edit)
     out = tmp_path / "m.ckpt"
     code = cli.main(["train", "--config", pipeline["cfg"], "--manifest", bad,
                      "--out", str(out)])
@@ -714,14 +729,14 @@ def test_short_manifest_row_is_validation_error(pipeline, tmp_path, capsys):
 
 
 def test_embed_negative_class_id_is_validation_error(pipeline, tmp_path):
-    manifest = data.load_manifest(pipeline["manifest"])
-    manifest.entries[0].class_id = -1
-    bad = str(tmp_path / "negative.csv")
-    data.save_manifest(manifest, bad)
+    first = data.load_manifest(pipeline["manifest"]).entries[0]
+    bad = _edited_manifest(
+        pipeline["manifest"], str(tmp_path / "negative.csv"),
+        lambda row: row[:3] + ["-1"] + row[4:] if row[0] == first.id else row)
     out = tmp_path / "e.bin"
     code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
-                     "--split", manifest.entries[0].split,
-                     "--view", manifest.entries[0].view, "--out", str(out)])
+                     "--split", first.split, "--view", first.view,
+                     "--out", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert not out.exists()
 
@@ -730,11 +745,12 @@ def test_embed_negative_class_id_is_validation_error(pipeline, tmp_path):
 def test_embed_empty_image_is_validation_error(pipeline, tmp_path, capsys,
                                                header):
     manifest = data.load_manifest(pipeline["manifest"])
-    entry = manifest.entries[0]
-    entry.path = str(tmp_path / "empty.ppm")
+    entry = dataclasses.replace(manifest.entries[0],
+                                path=str(tmp_path / "empty.ppm"))
     open(entry.path, "wb").write(header + bytes(48))
     bad = str(tmp_path / "empty.csv")
-    data.save_manifest(manifest, bad)
+    data.save_manifest(data.DatasetManifest(
+        [entry] + manifest.entries[1:]), bad)
     out = tmp_path / "e.bin"
     code = cli.main(["embed", "--ckpt", pipeline["ckpt"], "--manifest", bad,
                      "--split", entry.split, "--view", entry.view,
@@ -762,8 +778,8 @@ def test_embed_decode_errors_stay_in_manifest_order(pipeline, tmp_path, capsys,
     truncated = str(tmp_path / "truncated.ppm")
     open(truncated, "wb").write(b"P6 4 4 255\n" + bytes(47))
     faults = [missing, truncated] if missing_first else [truncated, missing]
-    entries[2 * EMBED_BATCH + 5].path = faults[0]
-    entries[3 * EMBED_BATCH + 5].path = faults[1]
+    for k, fault in zip((2 * EMBED_BATCH + 5, 3 * EMBED_BATCH + 5), faults):
+        entries[k] = dataclasses.replace(entries[k], path=fault)
     bad = str(tmp_path / "faults.csv")
     data.save_manifest(data.DatasetManifest(entries), bad)
     out = tmp_path / "e.bin"

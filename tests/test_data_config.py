@@ -1,5 +1,6 @@
 """Image decoding, manifest ingestion, config parsing, schedule shape."""
 
+import dataclasses
 import os
 import re
 from dataclasses import fields
@@ -164,8 +165,12 @@ def test_manifest_holds_the_store_bounds_themselves(tmp_path):
          "float-class", "str-class"])
 def test_manifest_entry_refuses_what_the_store_cannot_hold(field, value,
                                                            problem):
-    """Built in code, not read from a file: the entry itself refuses."""
+    """Built in code, not read from a file: the entry itself refuses, and a
+    built entry cannot be changed to hold the value."""
     kw = dict(id="a", path="a.pgm", view="drone", class_id=0, split="train")
+    entry = data.ManifestEntry(**kw)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(entry, field, value)
     kw[field] = value
     with pytest.raises(data.DataError, match=re.escape(problem)):
         data.ManifestEntry(**kw)

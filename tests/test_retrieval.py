@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import os
 import struct
 import threading
@@ -558,6 +559,35 @@ def test_nul_id_is_refused_before_a_thread_starts(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def _fail_second_block(monkeypatch, failing):
+    """Make `_fixed8` raise `OSError("<side> writer failed")` on the second
+    block of each side in `failing`: "main", the rankings CSV written on
+    the calling thread, and "helper", the distances CSV. Each helper block
+    takes 0.05 s longer. Returns the calls counted per side."""
+    real, calls = training._fixed8, {"main": 0, "helper": 0}
+
+    def fixed8(values):
+        side = ("main" if threading.current_thread() is threading.main_thread()
+                else "helper")
+        calls[side] += 1
+        if side == "helper":
+            time.sleep(0.05)
+        if side in failing and calls[side] == 2:
+            raise OSError(f"{side} writer failed")
+        return real(values)
+
+    monkeypatch.setattr(training, "_fixed8", fixed8)
+    return calls
+
+
+REPORT_NAMES = ["retrieval_rankings.csv", "retrieval_summary.csv",
+                "retrieval_distances.csv"]
+
+
+def _read_all(paths):
+    return [open(path, "rb").read() for path in paths]
+
+
 @pytest.mark.parametrize("failing", [("helper",), ("main",),
                                      ("main", "helper")])
 def test_report_writer_error_joins_the_helper(rng, tmp_path, monkeypatch,
@@ -572,25 +602,73 @@ def test_report_writer_error_joins_the_helper(rng, tmp_path, monkeypatch,
     queries = tied_records(rng, 9, 4, "q")
     report = retrieval.evaluate(queries, gallery, [1])
     monkeypatch.setattr(training, "_REPORT_BLOCK_ROWS", 2 * len(gallery))
-    real, calls = training._fixed8, {"main": 0, "helper": 0}
-
-    def fixed8(values):
-        side = ("main" if threading.current_thread() is threading.main_thread()
-                else "helper")
-        calls[side] += 1
-        if side == "helper":
-            time.sleep(0.05)
-        if side in failing and calls[side] == 2:
-            raise OSError(f"{side} writer failed")
-        return real(values)
-
-    monkeypatch.setattr(training, "_fixed8", fixed8)
+    calls = _fail_second_block(monkeypatch, failing)
     threads = threading.active_count()
     with pytest.raises(OSError, match=f"^{failing[0]} writer failed$"):
         training.write_reports(report, str(tmp_path))
     assert threading.active_count() == threads
     if failing == ("main",):
         assert calls["helper"] < 5              # 9 queries, 2 per block
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter", "absent"])
+def test_reports_written_over_old_files_equal_a_fresh_write(rng, tmp_path,
+                                                           old):
+    """Report files already in the directory, longer or shorter than the new
+    reports, end up holding the bytes of a write into an empty directory;
+    a report file that is created gets the mode `open(path, "wb")` gives.
+    The ids differ in length (g0 ... g13)."""
+    gallery = tied_records(rng, 14, 4, "g")
+    queries = tied_records(rng, 11, 4, "q")
+    report = retrieval.evaluate(queries, gallery, [1, 5])
+    fresh = _read_all(training.write_reports(report, str(tmp_path / "fresh")))
+    out = tmp_path / "out"
+    out.mkdir()
+    if old != "absent":
+        for name, blob in zip(REPORT_NAMES, fresh):
+            size = 2 * len(blob) if old == "longer" else len(blob) // 2
+            (out / name).write_bytes(b"#" * size)
+    paths = training.write_reports(report, str(out))
+    assert sorted(os.listdir(out)) == sorted(REPORT_NAMES)
+    assert _read_all(paths) == fresh
+    if old == "absent":
+        with open(tmp_path / "probe", "wb"):
+            pass
+        mode = os.stat(tmp_path / "probe").st_mode
+        assert [os.stat(path).st_mode for path in paths] == [mode] * 3
+
+
+@pytest.mark.parametrize("failing", [("helper",), ("main",),
+                                     ("main", "helper")])
+def test_failed_report_rewrite_leaves_no_summary(rng, tmp_path, monkeypatch,
+                                                 failing):
+    """A second `write_reports` into a filled report directory fails part
+    way: the first run's summary is gone, and each CSV ends where its new
+    rows stop, a prefix of whole rows of a write into an empty directory.
+    The first run's ids are longer, so its CSVs are longer than the new
+    ones and any old byte left behind would show."""
+    gallery = tied_records(rng, 12, 4, "g")
+    queries = tied_records(rng, 9, 4, "q")
+    report = retrieval.evaluate(queries, gallery, [1])
+    monkeypatch.setattr(training, "_REPORT_BLOCK_ROWS", 2 * len(gallery))
+    rankings, _, distances = _read_all(
+        training.write_reports(report, str(tmp_path / "fresh")))
+    old = dataclasses.replace(
+        report, query_ids=[f"{i}-old" for i in report.query_ids],
+        gallery_ids=[f"{i}-old" for i in report.gallery_ids])
+    out = str(tmp_path / "out")
+    training.write_reports(old, out)
+    _fail_second_block(monkeypatch, failing)
+    with pytest.raises(OSError, match=f"^{failing[0]} writer failed$"):
+        training.write_reports(report, out)
+    assert sorted(os.listdir(out)) == sorted(
+        [REPORT_NAMES[0], REPORT_NAMES[2]])
+    for side, name, whole in (("main", REPORT_NAMES[0], rankings),
+                              ("helper", REPORT_NAMES[2], distances)):
+        blob = open(os.path.join(out, name), "rb").read()
+        assert whole.startswith(blob) and blob.endswith(b"\n")
+        if side in failing:
+            assert len(blob) < len(whole)
 
 
 @pytest.mark.parametrize("side", ["query", "gallery"])
