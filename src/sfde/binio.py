@@ -31,12 +31,8 @@ class Reader:
     def text(self, n, what, index=None):
         """The next `n` bytes decoded as UTF-8."""
         start = self.off
-        blob = self.take(n, what, index)
-        try:
-            return str(blob, "utf-8")
-        except UnicodeDecodeError:
-            # raises, naming the bad byte
-            return decode_utf8(blob, _label(what, index), self.error, start)
+        return decode_utf8(self.take(n, what, index), what, self.error, start,
+                           index)
 
     def end(self):
         """Raise the error class unless every byte has been read."""
@@ -49,14 +45,16 @@ def _label(what, index):
     return what if index is None else what % index
 
 
-def decode_utf8(blob, what, error, start=0):
+def decode_utf8(blob, what, error, start=0, index=None):
     """`blob` (bytes or a memoryview) decoded as UTF-8. An invalid byte raises
-    `error` naming `what`, the byte and its offset, counted from `start`."""
+    `error` naming `what` (`what % index` when an index is given), the byte
+    and its offset, counted from `start`."""
     try:
         return str(blob, "utf-8")
     except UnicodeDecodeError as e:
-        raise error(f"{what} is not valid UTF-8 (byte {e.object[e.start]:#04x}"
-                    f" at byte {start + e.start})") from None
+        raise error(f"{_label(what, index)} is not valid UTF-8 (byte "
+                    f"{e.object[e.start]:#04x} at byte {start + e.start})"
+                    ) from None
 
 
 def write_atomic(path, blob):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import os
 import struct
 import threading
@@ -669,6 +670,41 @@ def test_failed_report_rewrite_leaves_no_summary(rng, tmp_path, monkeypatch,
         assert whole.startswith(blob) and blob.endswith(b"\n")
         if side in failing:
             assert len(blob) < len(whole)
+
+
+@pytest.mark.parametrize("limit", [10, 6000])
+def test_report_rewrite_failing_in_the_file_write_leaves_no_old_byte(
+        rng, tmp_path, limit):
+    """The file writes themselves fail: with a file size limit of `limit`
+    bytes the write that crosses it stops there and the next one fails
+    (EFBIG), inside the header or among the rows. Each CSV the first run
+    left, longer than the new one, then holds the first `limit` bytes of
+    a write into an empty directory and nothing of the old file."""
+    resource = pytest.importorskip("resource")
+    gallery = tied_records(rng, 40, 4, "g")
+    queries = tied_records(rng, 30, 4, "q")
+    report = retrieval.evaluate(queries, gallery, [1])
+    rankings, _, distances = _read_all(
+        training.write_reports(report, str(tmp_path / "fresh")))
+    old = dataclasses.replace(
+        report, query_ids=[f"{i}-old" for i in report.query_ids],
+        gallery_ids=[f"{i}-old" for i in report.gallery_ids])
+    out = str(tmp_path / "out")
+    training.write_reports(old, out)
+    assert limit < min(len(rankings), len(distances))
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        with pytest.raises(OSError) as failure:
+            training.write_reports(report, out)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert failure.value.errno == errno.EFBIG
+    assert sorted(os.listdir(out)) == sorted(
+        [REPORT_NAMES[0], REPORT_NAMES[2]])
+    assert _read_all([os.path.join(out, REPORT_NAMES[0]),
+                      os.path.join(out, REPORT_NAMES[2])]) == [
+        rankings[:limit], distances[:limit]]
 
 
 @pytest.mark.parametrize("side", ["query", "gallery"])
