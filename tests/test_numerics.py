@@ -299,11 +299,36 @@ def test_erf_dense_grid_matches_math_erf():
     assert _ulps(ops._erf(z), z).max() <= 2
 
 
-def test_erf_float32_in_float32_out_rounded_once(rng):
-    z = (rng.standard_normal(10_000) * 2).astype(np.float32)
+# worst distance of the float32 `_erf` from the float64 one, in float32 ulp,
+# over every float32 in [0, 4]: 1,082,130,433 values, swept once
+# (BENCH_embed-split-f32gelu.json)
+ERF32_MAX_ULP = 2.37
+
+
+def _float32_ulps(got, ref):
+    """Distance of float32 `got` from float64 `ref` in units of the float32
+    last place at `ref` (subnormal spacing below the normal range)."""
+    unit = np.ldexp(1.0, np.maximum(np.frexp(np.abs(ref))[1] - 24, -149))
+    return np.abs(got.astype(np.float64) - ref) / unit
+
+
+def test_erf_float32_within_its_bound_of_float64():
+    """Computed in float32, within ERF32_MAX_ULP of the float64 `_erf`, on
+    a dense grid, every float32 within 2000 of the core/tail boundary
+    |z| = 1, tiny and subnormal values and |z| >= 6."""
+    f32 = np.float32
+    info = np.finfo(f32)
+    one = np.arange(-2000, 2001, dtype=np.int32) + f32(1).view(np.int32)
+    z = np.concatenate([
+        np.linspace(0.0, 7.0, 1_400_001, dtype=f32), one.view(f32),
+        np.geomspace(info.tiny, 1e-3, 20_000).astype(f32),
+        np.arange(1, 20_000, 7, dtype=np.int32).view(f32),
+        np.geomspace(6.0, info.max, 2000).astype(f32), [info.max]])
+    z = np.concatenate([z, -z])
     y = ops._erf(z)
     assert y.dtype == np.float32 and y.shape == z.shape
-    assert np.array_equal(y, ops._erf(z.astype(np.float64)).astype(np.float32))
+    assert _float32_ulps(y, ops._erf(z.astype(np.float64))).max() \
+        <= ERF32_MAX_ULP
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -312,8 +337,10 @@ def test_erf_is_exactly_odd(dtype):
     assert np.array_equal(ops._erf(-z), -ops._erf(z))
 
 
-def test_erf_zeros_infinities_and_nan():
-    y = ops._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_zeros_infinities_and_nan(dtype):
+    y = ops._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype))
+    assert y.dtype == dtype
     assert y[0] == 0.0 and not np.signbit(y[0])
     assert y[1] == 0.0 and np.signbit(y[1])
     assert y[2] == 1.0 and y[3] == -1.0
@@ -338,14 +365,6 @@ def test_erf_is_continuous_across_the_core_boundary(side):
     assert _ulps(y, z).max() <= 2
     assert np.all(side * np.diff(y) >= -2 * np.spacing(1.0))
     assert np.abs(np.diff(y)).max() <= 3 * np.spacing(1.0)
-
-
-def test_erf_float32_agrees_with_scipy():
-    special = pytest.importorskip("scipy.special")
-    rng = np.random.default_rng(20261018)
-    z = np.concatenate([rng.standard_normal(500_000),
-                        rng.uniform(-7.0, 7.0, 500_000)]).astype(np.float32)
-    assert np.array_equal(ops._erf(z), special.erf(z))
 
 
 def test_relu_and_softplus(rng):
