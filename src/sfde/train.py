@@ -21,7 +21,7 @@ from .model import (CheckpointError, SFDEModel, load_checkpoint,
 # images per forward pass in `extract_embeddings`, whose helper thread decodes
 # the next chunk meanwhile: past 16 the pass gets no faster and the peak
 # memory grows (on 2 cores with one BLAS thread, 192 images at 128 px from
-# 256 px sources took 0.34, 0.31 and 0.32 s at 8, 16 and 32, as two calls of
+# 256 px sources took 0.60, 0.51 and 0.57 s at 8, 16 and 32, as two calls of
 # 128 and 64 images)
 EMBED_BATCH = 16
 
@@ -260,9 +260,9 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
 # embedding extraction
 # ---------------------------------------------------------------------------
 
-def _decode_into(imgs, chunk, input_size, mean, std):
-    """Decode and standardize the images of `chunk` into the float32 array
-    `imgs` of shape (len(chunk), 3, S, S); returns `imgs`."""
+def _decode_chunk(chunk, input_size, mean, std):
+    """The standardized images of `chunk` as one (B, 3, S, S) float32 array."""
+    imgs = np.empty((len(chunk), 3, input_size, input_size), np.float32)
     for i, e in enumerate(chunk):
         imgs[i] = load_image(e.path, input_size)
     return standardize(imgs, mean, std, out=imgs)
@@ -278,15 +278,9 @@ def extract_embeddings(model: SFDEModel, norm_stats, entries):
 
     One helper thread decodes and standardizes the next chunk while the
     calling thread runs the model on this one; the model only ever runs on
-    the calling thread. The first chunk has no forward pass to hide behind,
-    so the helper decodes its first half while the calling thread decodes
-    the second. For 192 images at 128 px from 256 px sources, in two calls
-    of 128 and 64 images, this cut the wait before each call's first
-    forward pass from 17.5 to 10.8 ms (medians of 24 calls, 2 cores). The
-    decode threads share the interpreter lock, so the wait does not halve.
-    At most one decoded chunk waits, so the extra memory is one chunk of
-    float32 images (3 MiB at 128 px, 12 MiB at 256 px) plus one image's
-    decode temporaries per thread. A decode error is raised in manifest
+    the calling thread. At most one decoded chunk waits, so the extra memory
+    is one chunk of float32 images (3 MiB at 128 px, 12 MiB at 256 px) plus
+    one image's decode temporaries. A decode error is raised in manifest
     order, and on any error the pending decode is cancelled and the helper
     joined first. `norm_stats` are float32, as `compute_norm_stats` and the
     checkpoint header give them."""
@@ -302,30 +296,13 @@ def extract_embeddings(model: SFDEModel, norm_stats, entries):
     records = []
     pool = ThreadPoolExecutor(max_workers=1)
 
-    def empty(chunk):
-        return np.empty((len(chunk), 3, input_size, input_size), np.float32)
-
     def decode(k):
-        return pool.submit(_decode_into, empty(chunks[k]), chunks[k],
-                           input_size, mean, std)
-
-    def decode_first():
-        chunk = chunks[0]
-        imgs = empty(chunk)
-        half = len(chunk) // 2
-        head = pool.submit(_decode_into, imgs[:half], chunk[:half],
-                           input_size, mean, std)
-        try:
-            _decode_into(imgs[half:], chunk[half:], input_size, mean, std)
-        finally:
-            # the helper's half comes first in manifest order, so its error,
-            # if any, is the one raised
-            head.result()
-        return imgs
+        return pool.submit(_decode_chunk, chunks[k], input_size, mean, std)
 
     try:
+        pending = decode(0) if chunks else None
         for k, chunk in enumerate(chunks):
-            imgs = pending.result() if k else decode_first()
+            imgs = pending.result()
             if k + 1 < len(chunks):
                 pending = decode(k + 1)
             out = model(Tensor(imgs.astype(model.cfg.np_dtype, copy=False)),

@@ -642,43 +642,3 @@ def test_extraction_error_joins_the_decode_thread(three_chunk_entries,
                            three_chunk_entries)
     assert threading.active_count() == threads
     assert len(decoded) == 2 * EMBED_BATCH
-
-
-def test_first_chunk_is_decoded_on_both_threads(three_chunk_entries,
-                                                monkeypatch):
-    """The helper decodes the first half of chunk 0 and the calling thread
-    the second half. With a fault in each half, the helper's, first in
-    manifest order, is the one raised, although the calling thread's is
-    raised first in time; no thread outlives the call."""
-    half = EMBED_BATCH // 2
-    chunk = three_chunk_entries[:EMBED_BATCH]
-    decoders = {}
-
-    def recording_load(path, size):
-        decoders[path] = threading.get_ident()
-        return data.load_image(path, size)
-
-    monkeypatch.setattr(train_module, "load_image", recording_load)
-    model = eval_ready_model("float32")
-    extract_embeddings(model, NORM, three_chunk_entries)
-    caller = threading.get_ident()
-    assert {decoders[e.path] for e in chunk[half:]} == {caller}
-    helper = {decoders[e.path] for e in chunk[:half]}
-    assert len(helper) == 1 and caller not in helper
-
-    early, late = chunk[2].path, chunk[half + 1].path
-    assert early not in {e.path for e in chunk[half:]}
-
-    def failing_load(path, size):
-        if path == early:
-            time.sleep(0.3)  # the calling thread's fault comes first in time
-            raise OSError(f"injected in the helper's half: {path}")
-        if path == late:
-            raise ValueError(f"injected in the calling thread's half: {path}")
-        return data.load_image(path, size)
-
-    monkeypatch.setattr(train_module, "load_image", failing_load)
-    threads = threading.active_count()
-    with pytest.raises(OSError, match="injected in the helper's half"):
-        extract_embeddings(model, NORM, three_chunk_entries)
-    assert threading.active_count() == threads
