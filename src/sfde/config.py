@@ -65,6 +65,9 @@ class _Section:
         _check_fields(self, fields(self))
 
 
+ATTENTION_TOKEN_BUDGET = 4096  # frequency-branch tokens; attention is O(L^2)
+
+
 @dataclass
 class ModelConfig(_Section):
     """The `[model]` section plus the class count; checked fully when built."""
@@ -86,8 +89,9 @@ class ModelConfig(_Section):
         self.validate()
 
     def validate(self):
-        """The checks that span fields: the backbone's 4 stages and stride
-        32, and what each enabled branch needs of its feature map."""
+        """The model rules, stated here only: 4 stages, stride 32, and what
+        each enabled branch needs of its S x S map (S = input_size / 32),
+        the frequency branch's S * (S/2 + 1) attention tokens included."""
         if len(self.stage_channels) != 4:
             raise ShapeError("backbone needs exactly 4 stages, got "
                              f"{len(self.stage_channels)}")
@@ -109,6 +113,11 @@ class ModelConfig(_Section):
             if c % self.heads != 0:
                 raise ShapeError(
                     f"feature channels {c} not divisible by {self.heads} heads")
+            tokens = s * (s // 2 + 1)
+            if tokens > ATTENTION_TOKEN_BUDGET:
+                raise ShapeError(f"input size {self.input_size} gives "
+                                 f"{tokens} spectral tokens, above the "
+                                 f"attention budget {ATTENTION_TOKEN_BUDGET}")
 
     @property
     def np_dtype(self):
@@ -117,17 +126,6 @@ class ModelConfig(_Section):
     @property
     def feature_channels(self):
         return self.stage_channels[-1]
-
-    @property
-    def descriptor_dim(self):
-        d = 0
-        if self.use_gscb:
-            d += self.embed_dim
-        if self.use_lgsb:
-            d += self.feature_channels
-        if self.use_fsab:
-            d += self.feature_channels
-        return d
 
 
 @dataclass

@@ -278,13 +278,16 @@ def _class_pattern(rng, size):
     return img
 
 
-def _perturb(img, rng, max_shift, brightness=0.15):
+BRIGHTNESS = 0.15  # contrast jitter of a synthetic view; offset is half
+
+
+def _perturb(img, rng, max_shift):
     """Per-view geometric/photometric perturbation: integer roll + small
     brightness/contrast jitter + noise."""
     dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
     out = np.roll(img, (dy, dx), axis=(0, 1))
-    out = out * rng.uniform(1 - brightness, 1 + brightness)
-    out = out + rng.uniform(-brightness / 2, brightness / 2)
+    out = out * rng.uniform(1 - BRIGHTNESS, 1 + BRIGHTNESS)
+    out = out + rng.uniform(-BRIGHTNESS / 2, BRIGHTNESS / 2)
     out = out + rng.normal(0, 0.02, size=out.shape)
     return np.clip(out, 0, 1)
 

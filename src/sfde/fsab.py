@@ -6,7 +6,8 @@ The phase spectrum is never modified: both reconstruction paths recombine a
 (gated) amplitude with the original phase. The forward pass is one chain of
 the public stages (`amplitude_gating`, `ampphase_encode`,
 `spectral_attention`, `gated_fusion`, `reconstruct_paths`), so a test reads
-any intermediate by calling the stages itself.
+any intermediate by calling the stages itself. Its shape rules (even width,
+the attention token budget) are `ModelConfig.validate`'s alone.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from . import ops, spectral
 from .autodiff import Parameter, Tensor
 from .layers import BatchNorm, Conv2d, Module, MultiHeadSelfAttention
 
-ATTENTION_TOKEN_BUDGET = 4096
 DROPOUT = 0.1  # after each fusion layer, train mode only
 
 
 def coordinate_grid(h, wp, dtype=np.float32):
     """Continuous normalized coordinates, (2, H, W'), each axis in [-1, 1]
-    with corners exactly at +-1. A single-point axis sits at 0."""
-    ys = np.linspace(-1.0, 1.0, h, dtype=dtype) if h > 1 else np.zeros(1, dtype=dtype)
-    xs = np.linspace(-1.0, 1.0, wp, dtype=dtype) if wp > 1 else np.zeros(1, dtype=dtype)
+    with corners exactly at +-1; a spectrum has H >= 2 and W' >= 2."""
+    ys = np.linspace(-1.0, 1.0, h, dtype=dtype)
+    xs = np.linspace(-1.0, 1.0, wp, dtype=dtype)
     gy, gx = np.meshgrid(ys, xs, indexing="ij")
     return np.stack([gy, gx]).astype(dtype)
 
@@ -100,10 +100,6 @@ class FrequencyStabilityBranch(Module):
 
     def spectral_attention(self, q):
         n, c, h, wp = q.shape
-        if h * wp > ATTENTION_TOKEN_BUDGET:
-            raise ops.ShapeError(
-                f"{h * wp} spectral tokens exceed the attention budget "
-                f"{ATTENTION_TOKEN_BUDGET}; use a smaller input size")
         grid = Tensor(np.broadcast_to(coordinate_grid(h, wp, q.dtype.type),
                                       (n, 2, h, wp)).copy())
         pem = self.pem2(ops.gelu(self.pem1(grid)))
@@ -126,9 +122,6 @@ class FrequencyStabilityBranch(Module):
     # -- full forward -------------------------------------------------------
 
     def __call__(self, f, training=False, rng=None):
-        w = f.shape[-1]
-        if w % 2 != 0:
-            raise ops.ShapeError(f"frequency branch needs even feature width, got {w}")
         spec = spectral.rfft2(f)
         amp = spectral.amplitude(spec)
         phi = spectral.phase(spec)

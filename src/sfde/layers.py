@@ -13,13 +13,16 @@ from . import ops
 from .autodiff import Parameter
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=np.float32):
-    """Normal(0, std) redrawn until within +-2 std."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+INIT_STD = 0.02  # of every truncated-normal weight
+
+
+def trunc_normal(rng, shape, dtype=np.float32):
+    """Normal(0, INIT_STD) redrawn until within +-2 INIT_STD."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * INIT_STD
     while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * INIT_STD
     return out.astype(dtype)
 
 
@@ -84,7 +87,7 @@ class Conv2d(Module):
                  groups=1, dtype=np.float32):
         super().__init__()
         self.weight = Parameter(
-            trunc_normal(rng, (cout, cin // groups, k, k), 0.02, dtype))
+            trunc_normal(rng, (cout, cin // groups, k, k), dtype))
         self.bias = Parameter(np.zeros(cout, dtype=dtype))
         self.stride, self.padding, self.dilation, self.groups = stride, padding, dilation, groups
 
@@ -100,7 +103,7 @@ class Linear(Module):
         if init == "kaiming":
             w = kaiming_normal(rng, (cin, cout), cin, dtype)
         else:
-            w = trunc_normal(rng, (cin, cout), 0.02, dtype)
+            w = trunc_normal(rng, (cin, cout), dtype)
         self.weight = Parameter(w)
         self.bias = Parameter(np.zeros(cout, dtype=dtype))
 
@@ -110,7 +113,7 @@ class Linear(Module):
 
 class BatchNorm(Module):
     """Batch normalization for (N,C) or (N,C,H,W) with `ops.batch_norm`'s
-    epsilon 1e-5 and momentum 0.1."""
+    epsilon `BN_EPS` (1e-5) and momentum `BN_MOMENTUM` (0.1)."""
 
     def __init__(self, c, dtype=np.float32):
         super().__init__()

@@ -63,9 +63,6 @@ class LocalGeometricBranch(Module):
 
     def pyramid_enhance(self, g, training=False):
         h, w = g.shape[-2], g.shape[-1]
-        if h < 4 or w < 4:
-            raise ops.ShapeError(
-                f"pyramid needs feature maps of at least 4x4, got {h}x{w}")
         omega = self.pyramid_weights()
         levels = []
         for i, s in enumerate((1, 2, 3, 4)):

@@ -271,10 +271,10 @@ def sum_(a, axis=None, keepdims=False):
     return out
 
 
-def mean_(a, axis=None, keepdims=False):
+def mean_(a, axis=None):
     n = a.data.size if axis is None else np.prod(
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return scale(sum_(a, axis=axis), 1.0 / float(n))
 
 
 def reshape(a, shape):
@@ -463,12 +463,15 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
 # batch normalization
 # ---------------------------------------------------------------------------
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.1, eps=1e-5):
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch normalization over axis 1. x: (N,C) or (N,C,H,W).
 
-    Train mode uses batch statistics (and requires batch size >= 2); eval
-    mode uses the running statistics, which train mode updates in place.
+    Train mode uses batch statistics (batch size >= 2) and moves the running
+    ones in place by BN_MOMENTUM; eval mode uses those. Variance gets BN_EPS.
     The forward and backward passes work in place on as few full-size arrays
     as they can, by the same operations on the same operands in the same
     order as the written-out expressions, so even a NaN keeps its bits;
@@ -493,15 +496,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         var = xd.var(axis=axes)
         n = xd.size // xd.shape[1]
         unbiased = var * n / max(1, n - 1)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu.astype(running_mean.dtype)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * unbiased.astype(running_var.dtype)
+        running_mean *= (1.0 - BN_MOMENTUM)
+        running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= (1.0 - BN_MOMENTUM)
+        running_var += BN_MOMENTUM * unbiased.astype(running_var.dtype)
     else:
         mu = running_mean.astype(xd.dtype)
         var = running_var.astype(xd.dtype)
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = xd - ch(mu)
     xhat *= ch(inv)
     y = xhat * ch(gamma.data)
@@ -648,7 +651,10 @@ def dropout(x, rate, rng):
     return out
 
 
-def l2_normalize(x, axis=-1, eps=1e-12):
+L2_EPS = 1e-12  # keeps a zero vector finite
+
+
+def l2_normalize(x, axis=-1):
     n2 = sum_(mul(x, x), axis=axis, keepdims=True)
-    inv = pow_const(add_const(n2, eps), -0.5)
+    inv = pow_const(add_const(n2, L2_EPS), -0.5)
     return mul(x, inv)

@@ -149,12 +149,12 @@ PROPERTIES = [
 ]
 
 
-def run(seed=0, out=print):
-    """Run every property; returns the list of failures (empty = success)."""
+def run(seed=0):
+    """Print a line per property; returns the failures (empty = success)."""
     failures = []
     for name, check in PROPERTIES:
         ok, detail = check(np.random.default_rng(seed))
-        out(f"{'PASS' if ok else 'FAIL'}  {name:<28} {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<28} {detail}")
         if not ok:
             failures.append(name)
     return failures

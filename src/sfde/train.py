@@ -114,10 +114,10 @@ def compute_norm_stats(manifest: DatasetManifest, cache: ImageCache):
     return mean.astype(np.float32), std.astype(np.float32)
 
 
-def standardize(images, mean, std, out=None):
-    """`(images - mean) / std` per channel; `out` may be `images` itself."""
-    out = np.subtract(images, mean[:, None, None], out=out)
-    return np.divide(out, std[:, None, None], out=out)
+def standardize(images, mean, std):
+    """`(images - mean) / std` per channel, in place: returns `images`."""
+    np.subtract(images, mean[:, None, None], out=images)
+    return np.divide(images, std[:, None, None], out=images)
 
 
 def compute_batch_losses(model: SFDEModel, drone_imgs, sat_imgs, labels,
@@ -192,8 +192,7 @@ def train(config: RunConfig, manifest: DatasetManifest, ckpt_path,
     cache = ImageCache(config.input_size)
     mean, std = compute_norm_stats(manifest, cache)
     for e in manifest.subset("train"):
-        img = cache.get(e)
-        standardize(img, mean, std, out=img)
+        standardize(cache.get(e), mean, std)
     weights = config.loss_weights()
     opt = AdamW(model.parameters(), weight_decay=config.weight_decay)
 
@@ -265,7 +264,7 @@ def _decode_chunk(chunk, input_size, mean, std):
     imgs = np.empty((len(chunk), 3, input_size, input_size), np.float32)
     for i, e in enumerate(chunk):
         imgs[i] = load_image(e.path, input_size)
-    return standardize(imgs, mean, std, out=imgs)
+    return standardize(imgs, mean, std)
 
 
 def extract_embeddings(model: SFDEModel, norm_stats, entries):

@@ -80,7 +80,7 @@ def test_selftest_passes_and_prints_table(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_reports_injected_fault(monkeypatch):
+def test_selftest_reports_injected_fault(monkeypatch, capsys):
     """An inverse FFT off by 1% while the round-trip property runs fails
     that property and no other."""
     irfft2 = spectral.irfft2
@@ -98,11 +98,10 @@ def test_selftest_reports_injected_fault(monkeypatch):
     monkeypatch.setattr(selftest, "PROPERTIES", [
         (name, with_broken_inverse(check) if name == "fft-round-trip"
          else check) for name, check in selftest.PROPERTIES])
-    lines = []
-    failures = selftest.run(out=lines.append)
+    failures = selftest.run()
     assert failures == ["fft-round-trip"]
     assert any(line.startswith("FAIL") and "fft-round-trip" in line
-               for line in lines)
+               for line in capsys.readouterr().out.splitlines())
 
 
 def test_selftest_repeatable(capsys):
@@ -332,11 +331,14 @@ def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
     ("blocks_per_stage", -1, "malformed model_config in checkpoint "
      "(blocks_per_stage must be at least 1, got -1)"),
     ("heads", 3, "malformed model_config in checkpoint (feature channels 8 "
-     "not divisible by 3 heads)")],
+     "not divisible by 3 heads)"),
+    ("input_size", 2880, "malformed model_config in checkpoint (input size "
+     "2880 gives 4140 spectral tokens, above the attention budget 4096")],
     ids=["mystery_knob-1", "stage_channels-None", "stage_channels-5",
          "None-None", "dtype-float16", "norm_mean-None", "norm_std-short",
          "embed_dim-str", "heads-float", "embed_dim-zero", "use_fsab-str",
-         "blocks_per_stage-negative", "heads-cross-field"])
+         "blocks_per_stage-negative", "heads-cross-field",
+         "input_size-token-budget"])
 def test_malformed_checkpoint_config_is_validation_error(pipeline, tmp_path,
                                                          capsys, key, value,
                                                          message):
@@ -556,6 +558,31 @@ def test_train_on_a_row_the_store_cannot_hold_is_validation_error(
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"{bad}, line 2: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_over_the_token_budget_is_refused_before_any_decode(
+        pipeline, tmp_path, capsys):
+    """No image path of the manifest exists, so a decode would exit 3: the
+    attention token budget is a model rule, refused when the model config
+    is built."""
+    column = data.MANIFEST_COLUMNS.index("path")
+
+    def edit(row):
+        row[column] = str(tmp_path / "missing" / os.path.basename(row[column]))
+        return row
+
+    bad = _edited_manifest(pipeline["manifest"], str(tmp_path / "gone.csv"),
+                           edit)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(CFG.replace("input_size = 128", "input_size = 2880"))
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--config", str(cfg), "--manifest", bad,
+                     "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "4140 spectral tokens, above the attention budget 4096" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

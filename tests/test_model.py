@@ -1,5 +1,6 @@
 """Full-model composition, checkpoint format, and the training loop."""
 
+import itertools
 import re
 import struct
 import threading
@@ -12,7 +13,7 @@ import pytest
 from sfde import autodiff, data, losses, ops, retrieval
 from sfde import train as train_module
 from sfde.autodiff import Constant, Parameter, Tape, Tensor
-from sfde.config import ConfigError, RunConfig
+from sfde.config import ATTENTION_TOKEN_BUDGET, ConfigError, RunConfig
 from sfde.layers import Module
 from sfde.model import (OPTIMIZER_NOTE, CheckpointError, ModelConfig,
                         SFDEModel, load_checkpoint, save_checkpoint)
@@ -54,11 +55,49 @@ def test_model_config_validation():
     cfg.validate()  # 2x2 maps are fine without the pyramid
 
 
-def test_descriptor_dim_reflects_ablations():
-    assert ModelConfig(**TOY).descriptor_dim == 8 + 8 + 8
-    assert ModelConfig(**TOY, use_fsab=False).descriptor_dim == 8 + 8
-    assert ModelConfig(**TOY, use_gscb=False,
-                       use_fsab=False).descriptor_dim == 8
+def test_model_config_enforces_the_attention_token_budget():
+    """S = input_size / 32 gives the frequency branch S * (S/2 + 1) tokens:
+    4140 at 2880 px, 3960 at 2816. Nothing is decoded or run here; one
+    2880 px image alone is about 100 MB."""
+    assert ATTENTION_TOKEN_BUDGET == 4096
+    with pytest.raises(ops.ShapeError, match="input size 2880 gives 4140 "
+                       "spectral tokens, above the attention budget 4096"):
+        ModelConfig(**dict(TOY, input_size=2880))
+    ModelConfig(**dict(TOY, input_size=2816))
+    ModelConfig(**dict(TOY, input_size=2880), use_fsab=False)
+
+
+def test_model_config_accepts_exactly_the_models_that_run(monkeypatch):
+    """Over a grid of small configs, each with every branch on and off:
+    every config `ModelConfig` accepts builds a model that runs one eval
+    forward pass, and every one it refuses would fail in the model's own
+    constructors or kernels, so the forward pass need not restate a rule.
+    The grid's maps are at most 4x4, far inside the token budget, which
+    has its own test."""
+    grid = itertools.product((32, 64, 96, 128), range(4, 13), range(1, 5),
+                             itertools.product((False, True), repeat=3))
+    accepted, refused = [], []
+    for size, c, heads, (gscb, lgsb, fsab) in grid:
+        kw = dict(stage_channels=(4, 4, 4, c), blocks_per_stage=1,
+                  input_size=size, embed_dim=4, heads=heads, use_gscb=gscb,
+                  use_lgsb=lgsb, use_fsab=fsab)
+        try:
+            accepted.append(ModelConfig(**kw))
+        except ops.ShapeError:
+            refused.append(kw)
+
+    def run_once(cfg):
+        s = cfg.input_size
+        SFDEModel(cfg, np.random.default_rng(0))(
+            Tensor(np.zeros((2, 3, s, s), np.float32)), training=False)
+
+    for cfg in accepted:
+        run_once(cfg)
+    monkeypatch.setattr(ModelConfig, "validate", lambda self: None)
+    for kw in refused:
+        with pytest.raises(ops.ShapeError):
+            run_once(ModelConfig(**kw))
+    assert (len(accepted), len(refused)) == (412, 740)
 
 
 def test_every_parameter_receives_gradient(rng):

@@ -364,3 +364,100 @@ def test_only_train_imports_concurrency():
         if lines:
             found[os.path.basename(path)] = lines
     assert not found
+
+
+def sfde_bindings(tree, module=None):
+    """{local name: module, or (module, function)} for each name `tree`
+    binds from the sfde package; in package module `module`, its own
+    top-level functions too."""
+    names = {}
+    if module is not None:
+        names.update((n.name, (module, n.name)) for n in tree.body
+                     if isinstance(n, ast.FunctionDef))
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (
+                n.level or (n.module or "").split(".")[0] == "sfde"):
+            home = (n.module or "") if n.level else n.module[len("sfde."):]
+            for a in n.names:
+                names[a.asname or a.name] = (home, a.name) if home else a.name
+        elif isinstance(n, ast.Import):
+            names.update((a.asname, a.name[len("sfde."):]) for a in n.names
+                         if a.name.startswith("sfde.") and a.asname)
+    return names
+
+
+def unpassed_keywords(sources, callers):
+    """`module.function.parameter` for each defaulted parameter of a
+    top-level function in `sources` ({module: text}) that no call in
+    `sources` or `callers` (texts outside the package) passes, by name or
+    position. A call counts when it names the function through what its
+    file binds from sfde; a `*` or `**` argument passes every parameter."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    passed = {}
+    for module, tree in [*trees.items(),
+                         *((None, ast.parse(t)) for t in callers)]:
+        names = sfde_bindings(tree, module)
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if isinstance(f, ast.Name):
+                target = names.get(f.id)
+            elif (isinstance(f, ast.Attribute)
+                  and isinstance(f.value, ast.Name)
+                  and isinstance(names.get(f.value.id), str)):
+                target = (names[f.value.id], f.attr)
+            else:
+                continue
+            if isinstance(target, tuple):
+                args = passed.setdefault(target, set())
+                args.update(range(len(n.args)))
+                args.update("*" for a in n.args if isinstance(a, ast.Starred))
+                args.update(k.arg or "*" for k in n.keywords)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a, args = node.args, passed.get((module, node.name), set())
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            found += [f"{module}.{node.name}.{p.arg}"
+                      for i, p in enumerate(positional[first:], start=first)
+                      if not {i, p.arg, "*"} & args]
+            found += [f"{module}.{node.name}.{p.arg}"
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None and not {p.arg, "*"} & args]
+    return sorted(found)
+
+
+def test_unpassed_keyword_detector():
+    sources = {
+        "a": ("def f(x, y=1, *, z=2, w=3):\n    return x, y, z, w\n"
+              "def g(p=0, q=1):\n    return p, q\n"
+              "def k(r=0):\n    return r\n"
+              "def m(s=0):\n    return s\n"
+              "f(0, 1)\n"),
+        "b": ("from . import a\nfrom .a import g as h\n"
+              "a.f(0, z=1)\nh(1)\na.m(**{})\n")}
+    callers = ["from sfde.a import f\nimport other\n"
+               "f(0, w=1)\nother.g(1, 2)\ng(q=2)\nk(1)\n"]
+    assert unpassed_keywords(sources, callers) == ["a.g.q", "a.k.r"]
+
+
+def test_every_defaulted_keyword_is_passed_somewhere():
+    """A defaulted parameter of a package function that no shipped caller
+    (the package, `perfbench/` or `scripts/`) ever passes is a constant in
+    name only, so it is a module constant instead. Tests are not callers."""
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    root = os.path.dirname(os.path.dirname(SRC))
+    callers = []
+    for path in sorted(glob.glob(os.path.join(root, "perfbench", "*.py"))
+                       + glob.glob(os.path.join(root, "scripts", "*.py"))):
+        with open(path) as fh:
+            callers.append(fh.read())
+    assert callers
+    assert unpassed_keywords(sources, callers) == []
