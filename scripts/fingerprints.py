@@ -14,14 +14,18 @@ and evaluates those too: their report blocks have columns of one width,
 which `write_reports` writes without a padding pass, while the synthetic
 ids differ in length. That eval writes into a copy of the first eval's
 reports, so it rewrites report files that are longer than its own, as
-their ids are longer. It prints one line per output:
+their ids are longer. Last, it makes a 12-class synthetic set of 256 px
+images with the same seed and embeds its two views with the trained
+checkpoint into `shrink/`: a 256 px source shrinks to 128 px by a whole
+factor, which `data.load_image` decodes as a box mean, while a 64 px source
+takes the general bilinear path. It prints one line per output:
 
     seed=1 threads=1 model.ckpt <sha256>
 
 covering the checkpoint and its loss log, both embedding stores, the three
 report CSVs and the stdout of `sfde eval`, then the stores, CSVs and stdout
-of the `uniform/` eval. (The manifest is left out: it holds the absolute
-paths of the run's temporary directory.) Each step runs in a fresh Python
+of the `uniform/` eval, then the two `shrink/` stores. (The manifests are
+left out: they hold the absolute paths of the run's temporary directory.) Each step runs in a fresh Python
 process, because a BLAS thread count must be set before numpy is imported.
 Two checkouts agree when their outputs are identical.
 """
@@ -109,16 +113,23 @@ def fingerprints(seed, threads):
 
         with open(path("smoke.cfg"), "w") as fh:
             fh.write(SMOKE_CONFIG.format(seed=seed))
-        sfde(["synth", "--root", path("data"), "--classes", "12",
-              "--size", "64", "--seed", str(seed)], threads)
-        sfde(["ingest", "--root", path("data"), "--out", path("manifest.csv")],
-             threads)
+        def synth(name, size):
+            sfde(["synth", "--root", path(name), "--classes", "12",
+                  "--size", str(size), "--seed", str(seed)], threads)
+            sfde(["ingest", "--root", path(name), "--out",
+                  path(f"{name}.csv")], threads)
+
+        def embed(name, out_dir):
+            for view in ("drone", "satellite"):
+                sfde(["embed", "--ckpt", path("model.ckpt"), "--manifest",
+                      path(f"{name}.csv"), "--split", "train", "--view", view,
+                      "--out", path(os.path.join(out_dir, f"{view}.bin"))],
+                     threads)
+
+        synth("data", 64)
         sfde(["train", "--config", path("smoke.cfg"), "--manifest",
-              path("manifest.csv"), "--out", path("model.ckpt")], threads)
-        for view in ("drone", "satellite"):
-            sfde(["embed", "--ckpt", path("model.ckpt"), "--manifest",
-                  path("manifest.csv"), "--split", "train", "--view", view,
-                  "--out", path(f"{view}.bin")], threads)
+              path("data.csv"), "--out", path("model.ckpt")], threads)
+        embed("data", "")
         stores = ["drone.bin", "satellite.bin"]
         files = ["model.ckpt", "model.ckpt.log.csv"] + evaluate(
             path, stores, threads)
@@ -130,6 +141,10 @@ def fingerprints(seed, threads):
         files += [os.path.join("uniform", name) for name in evaluate(
             lambda name: path(os.path.join("uniform", name)), stores,
             threads)]
+        synth("data256", 256)
+        os.mkdir(path("shrink"))
+        embed("data256", "shrink")
+        files += [os.path.join("shrink", name) for name in stores]
         out = []
         for name in files:
             with open(path(name), "rb") as fh:

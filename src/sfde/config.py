@@ -66,6 +66,10 @@ class _Section:
 
 
 ATTENTION_TOKEN_BUDGET = 4096  # frequency-branch tokens; attention is O(L^2)
+# the largest input_size whose S x S map (S = input_size / 32, even) gives
+# the frequency branch at most the budget's S * (S/2 + 1) tokens: 3960 at
+# S = 88, 4140 at S = 90. One cap for every config, whatever its branches.
+MAX_INPUT_SIZE = 2816
 
 
 @dataclass
@@ -89,15 +93,20 @@ class ModelConfig(_Section):
         self.validate()
 
     def validate(self):
-        """The model rules, stated here only: 4 stages, stride 32, and what
-        each enabled branch needs of its S x S map (S = input_size / 32),
-        the frequency branch's S * (S/2 + 1) attention tokens included."""
+        """The model rules, stated here only: 4 stages, stride 32, an
+        input_size of at most MAX_INPUT_SIZE, and what each enabled branch
+        needs of its S x S map (S = input_size / 32)."""
         if len(self.stage_channels) != 4:
             raise ShapeError("backbone needs exactly 4 stages, got "
                              f"{len(self.stage_channels)}")
         if self.input_size % 32 != 0:
             raise ShapeError(f"input_size {self.input_size} not divisible by "
                              "the total stride 32")
+        if self.input_size > MAX_INPUT_SIZE:
+            raise ShapeError(
+                f"input size {self.input_size} above {MAX_INPUT_SIZE}, the "
+                "largest whose frequency branch keeps within the attention "
+                f"budget of {ATTENTION_TOKEN_BUDGET} spectral tokens")
         c, s = self.feature_channels, self.input_size // 32
         if self.use_lgsb:
             if c % 4 != 0:
@@ -113,11 +122,6 @@ class ModelConfig(_Section):
             if c % self.heads != 0:
                 raise ShapeError(
                     f"feature channels {c} not divisible by {self.heads} heads")
-            tokens = s * (s // 2 + 1)
-            if tokens > ATTENTION_TOKEN_BUDGET:
-                raise ShapeError(f"input size {self.input_size} gives "
-                                 f"{tokens} spectral tokens, above the "
-                                 f"attention budget {ATTENTION_TOKEN_BUDGET}")
 
     @property
     def np_dtype(self):

